@@ -28,11 +28,20 @@ non-commutative summary component) change answers.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-from repro.inventory.sstable import SSTableReader, SSTableWriter, _key_bytes
+from repro.inventory.codec import encode
+from repro.inventory.sstable import (
+    SSTableReader,
+    SSTableWriter,
+    _decode_key,
+    _decode_summary,
+)
 from repro.obs import registry
 
 SPAN_TIER_COMPACT = registry.register_span(
@@ -143,7 +152,11 @@ def merge_tables(
     """Compact several inventory tables into one; returns the entry count.
 
     Keys appearing in several inputs have their summaries merged (the
-    summary monoid); each input must itself be a valid table.  The output
+    summary monoid, oldest input first); each input must itself be a
+    valid table.  A key found in only one checksum-verified (v3) input is
+    copied as its stored value bytes: the codec roundtrip is byte-exact,
+    so the output is the table a decode/re-encode of every entry would
+    write, and only colliding keys pay for decoding.  The output
     path must not name any input: the output file is opened for writing
     up front, so compacting a table onto itself would silently destroy it.
     """
@@ -160,38 +173,36 @@ def merge_tables(
     try:
         for path in inputs:
             readers.append(SSTableReader(path))
-        heap = []
-        scans = [reader.scan() for reader in readers]
-        for index, scan in enumerate(scans):
-            entry = next(scan, None)
-            if entry is not None:
-                key, summary = entry
-                heapq.heappush(heap, (_key_bytes(key), index, key, summary))
+        streams = [_stored_entries(reader, index) for index, reader in enumerate(readers)]
         entries = 0
         with SSTableWriter(output, block_size=block_size) as writer:
-            current_raw: bytes | None = None
-            current_key = None
-            current_summary = None
-            while heap:
-                raw, index, key, summary = heapq.heappop(heap)
-                if current_raw is None:
-                    current_raw, current_key, current_summary = raw, key, summary
-                elif raw == current_raw:
-                    current_summary.merge(summary)
-                else:
-                    writer.add(current_key, current_summary)
-                    entries += 1
-                    current_raw, current_key, current_summary = raw, key, summary
-                entry = next(scans[index], None)
-                if entry is not None:
-                    next_key, next_summary = entry
-                    heapq.heappush(
-                        heap, (_key_bytes(next_key), index, next_key, next_summary)
-                    )
-            if current_raw is not None:
-                writer.add(current_key, current_summary)
+            # Equal keys arrive oldest input first (the index tie-break).
+            for key_raw, run in groupby(heapq.merge(*streams), key=itemgetter(0)):
+                _, index, value_raw, block_index = next(run)
+                key = _decode_key(key_raw, readers[index].path, block_index)
+                collisions = list(run)
+                if collisions:
+                    summary = _decode_summary(value_raw, readers[index].path, block_index)
+                    for _, index, other_raw, block_index in collisions:
+                        summary.merge(
+                            _decode_summary(other_raw, readers[index].path, block_index)
+                        )
+                    value_raw = encode(summary.to_dict())
+                writer.add_encoded(key, value_raw)
                 entries += 1
         return entries
     finally:
         for reader in readers:
             reader.close()
+
+
+def _stored_entries(
+    reader: SSTableReader, index: int
+) -> Iterator[tuple[bytes, int, bytes, int]]:
+    """One input's entries as merge items: raw key, input index, stored
+    value, block index.  A v2 value is decoded and re-encoded here —
+    without block checksums, decoding is its only damage check."""
+    for key_raw, value_raw, block_index in reader.scan_raw():
+        if reader.version != 3:
+            value_raw = encode(_decode_summary(value_raw, reader.path, block_index).to_dict())
+        yield key_raw, index, value_raw, block_index

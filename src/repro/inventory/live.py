@@ -16,14 +16,14 @@ happens entirely at apply time).
 
 **Atomic flush.**  Sealing rotates the WAL at a segment boundary and
 freezes the active memtable into the read view; the *flush job* then
-writes the frozen memtables to a new SSTable through the existing
-atomic ``fsio`` publish and — the commit point — atomically rewrites
-the ``MANIFEST.json`` that names the live table set and the WAL floor.
-Only after the manifest lands are the sealed segments retired.  A crash
-anywhere in that sequence (now usually on the maintenance thread)
-recovers exactly: before the manifest, the orphan table is deleted on
-open and the WAL replays everything; after the manifest, the flushed
-segments are ignored (and deleted) on open.  Nothing is ever
+writes each frozen memtable, oldest first, to its own SSTable through
+the existing atomic ``fsio`` publish and — the commit point — atomically
+rewrites the ``MANIFEST.json`` that names the live table set and the WAL
+floor.  Only after the manifest lands are the sealed segments retired.
+A crash anywhere in that sequence (now usually on the maintenance
+thread) recovers exactly: before the manifest, the orphan table is
+deleted on open and the WAL replays everything; after the manifest, the
+flushed segments are ignored (and deleted) on open.  Nothing is ever
 double-counted and nothing is lost.
 
 **Snapshot isolation.**  Readers resolve queries against an immutable
@@ -39,21 +39,21 @@ scheduler (:mod:`repro.inventory.maintenance`): ``ingest()`` only
 appends to the WAL, applies to the memtable, and — at the
 ``flush_records`` watermark — seals the active memtable and submits a
 flush job.  Compaction is size-tiered
-(:class:`~repro.inventory.compaction.CompactionPolicy`): one job merges
-one contiguous same-tier run, never the whole table set.  When
-maintenance falls behind (too many sealed memtables, or tier debt over
-the limit) the backpressure valve blocks ingest for a bounded wait and
-then fails typed with
-:class:`~repro.inventory.maintenance.IngestBackpressure`.
+(:class:`~repro.inventory.compaction.CompactionPolicy`): after each
+flushed table the same job merges contiguous same-tier runs until the
+policy is satisfied, never the whole table set.  When maintenance falls
+behind (too many sealed memtables, or tier debt over the limit) the
+backpressure valve blocks ingest for a bounded wait and then fails
+typed with :class:`~repro.inventory.maintenance.IngestBackpressure`.
 
 Locking is three-tier with a fixed order ``_maint_lock`` →
 ``_write_lock`` → ``_mem_lock`` (each may be taken alone; never in the
 reverse order):
 
 - ``_maint_lock`` serialises the *mutator* state jobs own after
-  construction (``_tables``, ``_next_table``, ``_wal_floor``) — jobs
-  themselves are already serialised by the scheduler, so this lock
-  mostly guards stats readers;
+  construction (``_tables``, ``_next_table``, ``_wal_floor``).  The
+  ingest path and ``ingest_stats`` never take it: ``_tables`` is only
+  ever rebound, so they read it by reference while a job runs;
 - ``_write_lock`` serialises the WAL (appends, fsyncs, rotate, retire)
   and the seal step;
 - ``_mem_lock`` is the short mutex readers share with memtable
@@ -89,7 +89,6 @@ from repro.inventory.maintenance import (
     COUNTER_JOBS,
     JOB_FLUSH,
     JOB_MAJOR,
-    JOB_TIER,
     IngestBackpressure,
     MaintenanceConfig,
     MaintenanceScheduler,
@@ -181,9 +180,9 @@ class _Sealed:
 
 
 def _copy_summary(summary: CellSummary) -> CellSummary:
-    """A deep, byte-exact copy via the storage codec — the same roundtrip
-    a flush performs, which is what makes pre- and post-flush answers
-    byte-identical."""
+    """A deep, byte-exact copy via the storage codec — through the same
+    bytes a flush writes, which is what makes pre- and post-flush
+    answers byte-identical."""
     return CellSummary.from_dict(decode(encode(summary.to_dict())))  # type: ignore[arg-type]
 
 
@@ -330,11 +329,7 @@ class LiveInventory(InventoryQueryMixin):
         # Started last: nothing above submits, and a constructor that
         # raised must not leave a worker thread behind.
         self._scheduler = MaintenanceScheduler(
-            {
-                JOB_FLUSH: self._job_flush,
-                JOB_TIER: self._job_tier,
-                JOB_MAJOR: self._job_major,
-            },
+            {JOB_FLUSH: self._job_flush, JOB_MAJOR: self._job_major},
             background=background_maintenance,
             counters=self.counters,
         )
@@ -522,8 +517,8 @@ class LiveInventory(InventoryQueryMixin):
 
     def flush(self) -> Path | None:
         """Seal the active memtable and flush everything sealed, waiting
-        for the job to finish.  Returns the new table's path (``None``
-        when there was nothing to flush)."""
+        for the job to finish.  Returns the newest flushed table's path
+        (``None`` when there was nothing to flush)."""
         self._check_maintenance()
         with self._write_lock:
             self._check_open()
@@ -568,35 +563,27 @@ class LiveInventory(InventoryQueryMixin):
     # -- maintenance jobs (scheduler-serialised: the only table writers) -----------
 
     def _job_flush(self) -> None:
-        progressed = self._flush_sealed()
-        self._notify_valve()
-        if progressed:
-            self._maybe_submit_tier()
-
-    def _job_tier(self) -> None:
-        merged = self._compact_tier()
-        self._notify_valve()
-        if merged:
-            # A tier merge can fill the next tier: cascade until the
-            # policy is satisfied (each pass re-reads the live sizes).
-            self._maybe_submit_tier()
+        """Flush the sealed memtables oldest first, one table each, and
+        after every table run the tier cascade to fixpoint.  However many
+        memtables sealed while the worker was busy, the table sequence —
+        and with it every merge's bracketing — is the inline one."""
+        while self._flush_oldest():
+            self._notify_valve()
+            while self._compact_tier():
+                self._notify_valve()
 
     def _job_major(self) -> None:
         self._compact_major()
         self._notify_valve()
 
-    def _maybe_submit_tier(self) -> None:
-        if not self.policy.fanout:
-            return
-        if self.policy.choose(self._table_sizes()) is not None:
-            self._scheduler.submit(JOB_TIER)
-
     def _table_sizes(self) -> list[int]:
-        """On-disk sizes of the committed tables, oldest first.  A table
-        unlinked by a racing compaction counts as zero — the next policy
-        evaluation sees the post-merge list."""
-        with self._maint_lock:
-            names = list(self._tables)
+        """On-disk sizes of the committed tables, oldest first.
+
+        Lock-free, so the valve and ``stats`` never wait out a job:
+        ``_tables`` is only ever rebound, never mutated in place, so one
+        read of it is a consistent list.  A table unlinked by a racing
+        merge counts as zero — the next evaluation sees the new list."""
+        names = self._tables
         sizes: list[int] = []
         for name in names:
             try:
@@ -612,39 +599,37 @@ class LiveInventory(InventoryQueryMixin):
             if not self._closed:
                 self._wal.retire_through(boundary)
 
-    def _flush_sealed(self) -> bool:
-        """Write every currently-sealed memtable to one new table and
-        commit it — the flush job body.  Returns whether a table was
-        published."""
+    def _flush_oldest(self) -> bool:
+        """Write the oldest sealed memtable to a new table and commit it.
+        Returns whether a table was published."""
         with self._maint_lock:
             with self._mem_lock:
-                batch = tuple(self._sealed)
-            if not batch:
-                return False
+                if not self._sealed:
+                    return False
+                sealed = self._sealed[0]
             with obs.span(SPAN_FLUSH) as sp:
-                frozen = tuple(item.memtable for item in batch)
-                boundary = batch[-1].boundary
-                # 1. Write the sealed memtables to one new table
-                #    (atomic: staged at .tmp, renamed on close).
+                # 1. Write the memtable to a new table (atomic: staged
+                #    at .tmp, renamed on close).
                 name = _TABLE_FMT.format(n=self._next_table)
                 path = self.directory / name
-                records = _write_frozen(path, frozen)
+                _write_memtable(path, sealed.memtable)
                 # 2. The commit point: the manifest now names the table
-                #    and raises the WAL floor past the sealed segments.
+                #    and raises the WAL floor past its sealed segments.
                 #    In-memory state follows only once the commit landed,
                 #    so a failed commit leaves disk and object untouched.
                 tables = self._tables + [name]
                 self._write_manifest(
-                    tables=tables, wal_floor=boundary, next_table=self._next_table + 1
+                    tables=tables,
+                    wal_floor=sealed.boundary,
+                    next_table=self._next_table + 1,
                 )
                 self._tables = tables
                 self._next_table += 1
-                self._wal_floor = boundary
+                self._wal_floor = sealed.boundary
                 # 3. Only now is it safe to retire the sealed segments.
-                self._retire_wal(boundary)
-                # 4. Swap the read view: the flushed memtables leave in
-                #    the same assignment their table arrives.  Memtables
-                #    sealed *after* the batch snapshot stay frozen.
+                self._retire_wal(sealed.boundary)
+                # 4. Swap the read view: the memtable leaves in the same
+                #    assignment its table arrives.
                 backend = SSTableInventory(
                     path,
                     resolution=self.resolution,
@@ -653,7 +638,7 @@ class LiveInventory(InventoryQueryMixin):
                 )
                 with self._mem_lock:
                     old = self._view
-                    del self._sealed[: len(batch)]
+                    del self._sealed[0]
                     view = _View(
                         tables=old.tables + (backend,),
                         frozen=tuple(item.memtable for item in self._sealed),
@@ -662,15 +647,14 @@ class LiveInventory(InventoryQueryMixin):
                     self._view = view
                 self._release(old)
                 self.counters.increment(COUNTER_FLUSHES)
-                sp.set("records", records)
+                sp.set("records", sealed.memtable.records_applied)
                 sp.set("table", name)
-                sp.set("memtables", len(batch))
             self._last_flush_path = path
         return True
 
     def _compact_tier(self) -> bool:
-        """Merge one contiguous same-tier run chosen by the policy — the
-        tier-compaction job body.  Returns whether a merge ran."""
+        """Merge one contiguous same-tier run chosen by the policy — one
+        step of the flush job's cascade.  Returns whether a merge ran."""
         with self._maint_lock:
             names = list(self._tables)
             sizes = self._table_sizes()
@@ -948,9 +932,9 @@ class LiveInventory(InventoryQueryMixin):
 
     @property
     def table_paths(self) -> tuple[Path, ...]:
-        """The committed table files, oldest first."""
-        with self._maint_lock:
-            return tuple(self.directory / name for name in self._tables)
+        """The committed table files, oldest first (lock-free, like
+        :meth:`_table_sizes`)."""
+        return tuple(self.directory / name for name in self._tables)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -1037,26 +1021,11 @@ def _config_from_manifest(data: dict[str, Any]) -> SummaryConfig:
     )
 
 
-def _write_frozen(path: Path, frozen: tuple[Memtable, ...]) -> int:
-    """Write frozen memtables (oldest first) to one table, atomically.
-
-    Equal keys across memtables merge oldest-into-accumulator — the same
-    order reads and :func:`merge_tables` use.  The memtables themselves
-    are never mutated (readers still hold them until the view swap):
-    merging goes through codec copies, the same byte-exact roundtrip the
-    table write itself performs.
-    """
-    merged: dict[GroupKey, CellSummary] = {}
-    records = 0
-    for memtable in frozen:
-        records += memtable.records_applied
-        for key, summary in memtable.items():
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = _copy_summary(summary)
-            else:
-                existing.merge(summary)
+def _write_memtable(path: Path, memtable: Memtable) -> None:
+    """Write one frozen memtable to a table, atomically, encoding each
+    summary exactly once, straight into the writer."""
     with sstable.SSTableWriter(path) as writer:
-        for key in sorted(merged, key=sstable._key_bytes):
-            writer.add(key, merged[key])
-    return records
+        for key, summary in sorted(
+            memtable.items(), key=lambda item: sstable._key_bytes(item[0])
+        ):
+            writer.add(key, summary)

@@ -46,12 +46,13 @@ from repro.obs import trace as obs
 
 SPAN_JOB = registry.register_span(
     "maintenance.job",
-    "one maintenance job (memtable flush or tier compaction), end to end",
+    "one maintenance job (memtable flushes with their tier cascade, or a "
+    "major compaction), end to end",
 )
 
 COUNTER_JOBS = registry.register_counter(
     "maintenance.jobs",
-    "maintenance jobs executed to completion (flushes and tier compactions)",
+    "maintenance jobs executed to completion (flush and major jobs)",
 )
 COUNTER_JOB_ERRORS = registry.register_counter(
     "maintenance.errors",
@@ -76,9 +77,10 @@ DEFAULT_MAX_DEBT_BYTES = 256 * 1024 * 1024
 #: How long an ingest call may block on the valve before failing typed.
 DEFAULT_BACKPRESSURE_WAIT_S = 5.0
 
-#: Job kinds a :class:`MaintenanceScheduler` accepts.
+#: Job kinds a :class:`MaintenanceScheduler` accepts: ``flush`` writes
+#: the sealed memtables and runs the tier cascade after each table;
+#: ``major`` is the manual full merge.
 JOB_FLUSH = "flush"
-JOB_TIER = "tier"
 JOB_MAJOR = "major"
 
 
@@ -129,9 +131,9 @@ class MaintenanceScheduler:
     mode kinds are deduplicated while queued (a second ``submit`` of a
     kind already waiting is a no-op — the queued run will observe the
     newer state anyway); a kind currently *running* can be re-queued,
-    which is how cascading tier merges chain.  In inline mode ``submit``
-    executes the job before returning and errors propagate directly to
-    the submitter.
+    so work submitted after the running job last looked is never
+    missed.  In inline mode ``submit`` executes the job before
+    returning and errors propagate directly to the submitter.
     """
 
     def __init__(

@@ -330,6 +330,11 @@ class SSTableWriter:
 
     def add(self, key: GroupKey, summary: CellSummary) -> None:
         """Append one entry (keys must be strictly increasing)."""
+        self.add_encoded(key, encode(summary.to_dict()))
+
+    def add_encoded(self, key: GroupKey, value_raw: bytes) -> None:
+        """Append one entry whose summary is already codec-encoded — the
+        bytes are stored as given (keys must be strictly increasing)."""
         key_raw = _key_bytes(key)
         if self._last_key is not None and key_raw <= self._last_key:
             raise ValueError("SSTable entries must be added in increasing key order")
@@ -337,7 +342,6 @@ class SSTableWriter:
         if key.grouping_set is GroupingSet.CELL_OD_TYPE:
             route = (key.origin, key.destination, key.vessel_type)
             self._route_index.setdefault(route, set()).add(key.cell)
-        value_raw = encode(summary.to_dict())
         entry = (
             struct.pack(">HI", len(key_raw), len(value_raw)) + key_raw + value_raw
         )
@@ -665,15 +669,21 @@ class SSTableReader:
                 return None
         return None
 
-    def scan(self) -> Iterator[tuple[GroupKey, CellSummary]]:
-        """Yield every (key, summary) in key order."""
+    def scan_raw(self) -> Iterator[tuple[bytes, bytes, int]]:
+        """Yield every (raw key, raw value, block index) in key order,
+        undecoded (v3 blocks are checksum-verified on read)."""
         for block_index in range(len(self._block_spans)):
             block = self.read_block(block_index)
             for key_raw, value_raw in self.parse_entries(block):
-                yield (
-                    _decode_key(key_raw, self._path, block_index),
-                    _decode_summary(value_raw, self._path, block_index),
-                )
+                yield key_raw, value_raw, block_index
+
+    def scan(self) -> Iterator[tuple[GroupKey, CellSummary]]:
+        """Yield every (key, summary) in key order."""
+        for key_raw, value_raw, block_index in self.scan_raw():
+            yield (
+                _decode_key(key_raw, self._path, block_index),
+                _decode_summary(value_raw, self._path, block_index),
+            )
 
     def close(self) -> None:
         """Close the underlying file."""

@@ -1,10 +1,13 @@
 """Tests for SSTable compaction."""
 
+import struct
+
 import pytest
 
 from repro.hexgrid import latlng_to_cell
 from repro.inventory import GroupKey, Inventory, open_inventory, write_inventory
 from repro.inventory.compaction import merge_tables
+from repro.inventory.sstable import CorruptionError, SSTableWriter
 from repro.inventory.summary import CellSummary
 
 
@@ -153,3 +156,109 @@ def test_windowed_builds_compact_to_whole(tmp_path, small_world):
     assert len(compacted) == len(whole)
     for key, summary in whole.items():
         assert compacted[key].records == summary.records
+
+
+# -- raw copy: byte-identical to decoding and re-encoding every entry ----------------
+
+
+def _reference_merge(inputs, output):
+    """Compaction by decoding every entry, merging equal keys oldest
+    input first, and re-encoding everything — the output raw copy must
+    reproduce byte for byte."""
+    merged = {}
+    for path in inputs:
+        with open_inventory(path) as reader:
+            for key, summary in reader.scan():
+                if key in merged:
+                    merged[key].merge(summary)
+                else:
+                    merged[key] = summary
+    with SSTableWriter(output) as writer:
+        for key in sorted(merged, key=GroupKey.sort_key):
+            writer.add(key, merged[key])
+    return len(merged)
+
+
+@pytest.fixture(scope="module")
+def groups(small_inventory):
+    """A slice of the small world's groups, all three grouping sets."""
+    items = sorted(small_inventory.items(), key=lambda item: item[0].sort_key())
+    return items[:600]
+
+
+def _table(tmp_path, name, items, version=3):
+    inventory = Inventory(resolution=6)
+    for key, summary in items:
+        inventory.put(key, summary)
+    path = tmp_path / name
+    write_inventory(inventory, path, version=version)
+    return path
+
+
+def _assert_merge_matches_reference(tmp_path, inputs):
+    out, ref = tmp_path / "merged.sst", tmp_path / "reference.sst"
+    assert merge_tables(inputs, out) == _reference_merge(inputs, ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert (
+        out.with_name(out.name + ".routes").read_bytes()
+        == ref.with_name(ref.name + ".routes").read_bytes()
+    )
+
+
+def test_raw_copy_disjoint_inputs_are_byte_identical(tmp_path, groups):
+    inputs = [
+        _table(tmp_path, "even.sst", groups[0::2]),
+        _table(tmp_path, "odd.sst", groups[1::2]),
+    ]
+    _assert_merge_matches_reference(tmp_path, inputs)
+
+
+def test_raw_copy_overlapping_inputs_are_byte_identical(tmp_path, groups):
+    # Keys in one, two and all three inputs: raw copies beside merges.
+    inputs = [
+        _table(tmp_path, "a.sst", groups[:400]),
+        _table(tmp_path, "b.sst", groups[200:]),
+        _table(tmp_path, "c.sst", groups[::3]),
+    ]
+    _assert_merge_matches_reference(tmp_path, inputs)
+
+
+def test_raw_copy_single_input_is_byte_identical(tmp_path, groups):
+    _assert_merge_matches_reference(tmp_path, [_table(tmp_path, "one.sst", groups)])
+
+
+def test_v2_inputs_take_the_decode_path(tmp_path, groups):
+    inputs = [
+        _table(tmp_path, "old.sst", groups[:400], version=2),
+        _table(tmp_path, "new.sst", groups[300:]),
+    ]
+    _assert_merge_matches_reference(tmp_path, inputs)
+
+
+def test_v2_undecodable_summary_raises_corruption(tmp_path):
+    cell = latlng_to_cell(10.0, 10.0, 6)
+    inventory = Inventory(resolution=6)
+    inventory.put(GroupKey(cell=cell), _summary(3))
+    bad = tmp_path / "bad.sst"
+    write_inventory(inventory, bad, version=2)
+    # v2 has no block checksums: replace the first entry's value type
+    # tag, so only decoding the value can notice.
+    data = bytearray(bad.read_bytes())
+    key_len, _ = struct.unpack_from(">HI", data, 8)
+    data[8 + 6 + key_len] = 0xEE
+    bad.write_bytes(bytes(data))
+    out = tmp_path / "out.sst"
+    with pytest.raises(CorruptionError, match="undecodable summary"):
+        merge_tables([bad], out)
+    assert not out.exists()
+
+
+def test_v3_bit_flip_stays_typed(tmp_path, groups):
+    table = _table(tmp_path, "flip.sst", groups[:50])
+    data = bytearray(table.read_bytes())
+    data[64] ^= 0x01  # inside the first data block
+    table.write_bytes(bytes(data))
+    out = tmp_path / "out.sst"
+    with pytest.raises(CorruptionError, match="checksum"):
+        merge_tables([table], out)
+    assert not out.exists()

@@ -16,17 +16,25 @@ The contracts under test (see docs/STORAGE.md):
 - **Snapshot isolation under load** — readers racing a background
   flush/compaction stream see batch-atomic, monotonically growing
   answers, and the final state is byte-identical to an inline run.
+- **Ingest never waits out a job** — while a flush or tier merge is
+  wedged mid-write, ``ingest()``, ``ingest_stats()`` and the server's
+  ``stats`` still answer; memtables that pile up meanwhile end as the
+  inline run's tables, and a crash replays no more than the valve
+  allows.
 """
 
 from __future__ import annotations
 
+import shutil
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.hexgrid import latlng_to_cell
-from repro.inventory import GroupKey
+from repro.inventory import GroupKey, sstable
+from repro.inventory.codec import encode
 from repro.inventory.compaction import CompactionPolicy, CompactionTask
 from repro.inventory.live import LiveInventory
 from repro.inventory.maintenance import (
@@ -36,6 +44,7 @@ from repro.inventory.maintenance import (
     MaintenanceScheduler,
 )
 from repro.inventory.memtable import IngestRecord
+from repro.server import InventoryClient, InventoryService, ServerThread
 
 RESOLUTION = 6
 LAT, LON = 1.25, 103.8  # every test record lands in this one cell
@@ -63,6 +72,57 @@ def _wait_until(predicate, timeout: float = 5.0) -> None:
 
 class _Boom(Exception):
     """A typed injected crash, so identity assertions are unambiguous."""
+
+
+@pytest.fixture()
+def hold_table_write(monkeypatch):
+    """``hold(nth)`` wedges the ``nth`` table the maintenance worker
+    writes — a flush or a tier merge — at its commit (the writer's
+    close, every byte staged) until the returned ``release`` is set;
+    ``started`` fires when the worker gets there.  Teardown releases."""
+    releases: list[threading.Event] = []
+    real_close = sstable.SSTableWriter.close
+
+    def hold(nth: int = 1) -> tuple[threading.Event, threading.Event]:
+        started, release = threading.Event(), threading.Event()
+        releases.append(release)
+        written = [0]
+
+        def close(writer):
+            if threading.current_thread().name == "repro-maintenance":
+                written[0] += 1
+                if written[0] == nth:
+                    started.set()
+                    release.wait(10.0)
+            real_close(writer)
+
+        monkeypatch.setattr(sstable.SSTableWriter, "close", close)
+        return started, release
+
+    yield hold
+    for release in releases:
+        release.set()
+
+
+def _returns_within(seconds: float, call):
+    """Run ``call`` on a helper thread; fail unless it returns within
+    ``seconds`` (the thread is left to finish once maintenance resumes)."""
+    result: list = []
+
+    def run():
+        try:
+            result.append(("ok", call()))
+        except BaseException as exc:  # surfaced below
+            result.append(("error", exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{call} still blocked after {seconds}s"
+    status, value = result[0]
+    if status == "error":
+        raise value
+    return value
 
 
 # -- the size-tiered policy ---------------------------------------------------------
@@ -360,10 +420,18 @@ class TestLiveBackgroundMaintenance:
 
             threads = [threading.Thread(target=writer)]
             threads += [threading.Thread(target=reader) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60.0)
+            # Frequent thread switches, so the lock-free valve's reads of
+            # the table list interleave with the worker's rebinds.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive(), "stress thread hung"
+            finally:
+                sys.setswitchinterval(interval)
             assert not failures, failures
             inventory.wait_maintenance(timeout=30.0)
             assert inventory.get(KEY).records == total_batches * batch_size
@@ -383,3 +451,119 @@ class TestLiveBackgroundMaintenance:
                 key: summary.to_dict() for key, summary in reference.items()
             }
         assert live_items == reference_items
+
+
+# -- ingest never waits out a running job --------------------------------------------
+
+
+def _batches(count: int, size: int) -> list[list[IngestRecord]]:
+    return [[_record(n * size + i) for i in range(size)] for n in range(count)]
+
+
+class TestIngestDoesNotWaitOutMaintenance:
+    # Table writes 1 and 2 are the two flushes; with fanout 2, write 3
+    # is the tier merge of both.
+    @pytest.mark.parametrize(
+        "nth, tier_fanout", [(1, 0), (3, 2)], ids=["flush", "tier-merge"]
+    )
+    def test_ingest_and_stats_answer_while_a_table_write_is_held(
+        self, tmp_path, hold_table_write, nth, tier_fanout
+    ):
+        started, release = hold_table_write(nth)
+        with LiveInventory(
+            tmp_path / "live", resolution=RESOLUTION,
+            flush_records=10, tier_fanout=tier_fanout,
+        ) as inventory:
+            try:
+                for batch in _batches(2, 10):
+                    inventory.ingest(batch)
+                assert started.wait(5.0), "the held table write never started"
+                ack = _returns_within(1.0, lambda: inventory.ingest([_record(20)]))
+                assert ack.accepted == 1
+                stats = _returns_within(1.0, inventory.ingest_stats)
+                assert stats["maintenance_queue"] >= 1
+            finally:
+                release.set()
+            inventory.wait_maintenance(timeout=10.0)
+            assert inventory.get(KEY).records == 21
+
+    def test_server_stats_answer_while_a_compaction_is_held(
+        self, tmp_path, hold_table_write
+    ):
+        started, release = hold_table_write(3)  # the tier merge
+        with LiveInventory(
+            tmp_path / "live", resolution=RESOLUTION, flush_records=10, tier_fanout=2
+        ) as backend:
+            try:
+                with ServerThread(InventoryService(backend)) as handle:
+                    with InventoryClient(*handle.address) as client:
+                        for batch in _batches(2, 10):
+                            client.ingest([record.to_wire() for record in batch])
+                        assert started.wait(5.0), "the tier merge never started"
+                        stats = _returns_within(1.0, client.stats)
+                        assert stats["inventory"]["ingest"]["records_ingested"] == 20
+            finally:
+                release.set()
+            backend.wait_maintenance(timeout=10.0)
+            assert backend.ingest_stats()["compactions"] == 1
+
+    def test_table_layout_does_not_depend_on_timing(self, tmp_path, hold_table_write):
+        """Memtables that pile up behind a slow job are flushed one table
+        each, with the cascade after each: the final tables are the
+        inline run's, byte for byte."""
+        kwargs = dict(
+            resolution=RESOLUTION, flush_records=40,
+            tier_fanout=2, tier_base_bytes=4096,
+        )
+        batches = _batches(30, 20)
+        started, release = hold_table_write(1)
+        peak_sealed = 0
+        with LiveInventory(tmp_path / "live", **kwargs) as inventory:
+            try:
+                for batch in batches:
+                    inventory.ingest(batch)
+                    sealed = inventory.ingest_stats()["frozen_memtables"]
+                    peak_sealed = max(peak_sealed, sealed)
+                    if sealed >= 3:
+                        release.set()
+            finally:
+                release.set()
+            inventory.wait_maintenance(timeout=30.0)
+            tables = [(p.name, p.read_bytes()) for p in inventory.table_paths]
+            items = [(k, encode(s.to_dict())) for k, s in inventory.items()]
+        assert started.is_set() and peak_sealed >= 3
+        with LiveInventory(
+            tmp_path / "ref", background_maintenance=False, **kwargs
+        ) as reference:
+            for batch in batches:
+                reference.ingest(batch)
+            assert tables == [(p.name, p.read_bytes()) for p in reference.table_paths]
+            assert items == [(k, encode(s.to_dict())) for k, s in reference.items()]
+
+    def test_recovery_replay_is_bounded_by_the_valve(self, tmp_path, hold_table_write):
+        """With maintenance held, sealed memtables wait in the WAL until
+        the valve closes: a crash then replays at most
+        (max_frozen_memtables + 1) * flush_records + one batch."""
+        flush_records, batch_size, max_frozen = 50, 20, 3
+        started, release = hold_table_write(1)
+        acked = 0
+        inventory = LiveInventory(
+            tmp_path / "live", resolution=RESOLUTION,
+            flush_records=flush_records, tier_fanout=0,
+            max_frozen_memtables=max_frozen, backpressure_wait_s=0.05,
+        )
+        try:
+            with pytest.raises(IngestBackpressure):
+                for batch in _batches(100, batch_size):
+                    inventory.ingest(batch)
+                    acked += len(batch)
+            assert started.is_set()
+            # The crash: the directory exactly as a kill would leave it.
+            shutil.copytree(tmp_path / "live", tmp_path / "crashed")
+        finally:
+            release.set()
+            inventory.close()
+        with LiveInventory(tmp_path / "crashed", flush_records=0) as recovered:
+            replayed = recovered.ingest_stats()["replayed"]
+            assert recovered.get(KEY).records == acked
+        assert flush_records < replayed <= (max_frozen + 1) * flush_records + batch_size
