@@ -9,14 +9,17 @@ to where the summaries live:
 
 - :class:`QueryableInventory` — the structural protocol every backend
   satisfies (point lookup, ``summary_at``, ``top_destinations_at``,
-  ``route_cells``, ``cells``, ``items``);
+  ``route_cells``, ``cells``, ``items``, and the codec-bytes forms
+  ``get_encoded`` / ``encoded_at`` the server answers with);
 - :class:`InventoryQueryMixin` — the shared position-query logic,
   expressed purely in terms of ``get`` + ``resolution`` so both backends
   answer identically by construction;
 - :class:`SSTableInventory` — serves queries straight from a persisted
   table through an LRU :class:`BlockCache` (hit/miss/eviction counters in
   an :class:`~repro.engine.metrics.CounterSet`), using the table's
-  ``.routes`` sidecar so ``route_cells`` needs no full scan;
+  ``.routes`` sidecar so ``route_cells`` needs no full scan, and handing
+  a checksum-verified table's stored value bytes to ``get_encoded``
+  without a decode;
 - the in-memory :class:`~repro.inventory.store.Inventory` conforms by
   inheriting the mixin.
 
@@ -38,7 +41,7 @@ from typing import Protocol, runtime_checkable
 from repro.engine.metrics import CounterSet
 from repro.hexgrid import get_resolution, latlng_to_cell
 from repro.inventory import sstable
-from repro.inventory.codec import decode
+from repro.inventory.codec import encode
 from repro.inventory.keys import GroupKey, GroupingSet
 from repro.inventory.summary import CellSummary
 from repro.obs import registry
@@ -52,6 +55,18 @@ SPAN_GET = registry.register_span(
 )
 
 
+def check_breakdown(
+    vessel_type: str | None, origin: str | None, destination: str | None
+) -> None:
+    """The pairing rules of a position query's breakdown: origin and
+    destination come together, and only with a vessel type (no grouping
+    set stores anything else).  Raises :class:`ValueError`."""
+    if (origin is None) != (destination is None):
+        raise ValueError("origin and destination must be provided together")
+    if origin is not None and vessel_type is None:
+        raise ValueError("route breakdowns require a vessel type")
+
+
 @runtime_checkable
 class QueryableInventory(Protocol):
     """What the use-case apps require of an inventory, regardless of
@@ -63,6 +78,10 @@ class QueryableInventory(Protocol):
         """Exact-key point lookup."""
         ...
 
+    def get_encoded(self, key: GroupKey) -> bytes | None:
+        """Exact-key point lookup as the summary's codec bytes."""
+        ...
+
     def summary_at(
         self,
         lat: float,
@@ -72,6 +91,17 @@ class QueryableInventory(Protocol):
         destination: str | None = None,
     ) -> CellSummary | None:
         """The summary for the cell containing a position."""
+        ...
+
+    def encoded_at(
+        self,
+        lat: float,
+        lon: float,
+        vessel_type: str | None = None,
+        origin: str | None = None,
+        destination: str | None = None,
+    ) -> bytes | None:
+        """:meth:`summary_at` as the summary's codec bytes."""
         ...
 
     def top_destinations_at(
@@ -110,6 +140,13 @@ class InventoryQueryMixin:
         """Exact-key point lookup (each backend provides its own)."""
         raise NotImplementedError
 
+    def get_encoded(self, key: GroupKey) -> bytes | None:
+        """Exact-key point lookup as codec bytes — what the server puts
+        on the wire.  This default encodes :meth:`get`'s answer; a
+        backend that already holds the bytes returns them instead."""
+        summary = self.get(key)
+        return None if summary is None else encode(summary.to_dict())
+
     def summary_at(
         self,
         lat: float,
@@ -123,20 +160,37 @@ class InventoryQueryMixin:
         Provide ``vessel_type`` for the per-market breakdown and both
         ``origin`` and ``destination`` for the per-route breakdown.
         """
-        if (origin is None) != (destination is None):
-            raise ValueError(
-                "origin and destination must be provided together"
-            )
-        if origin is not None and vessel_type is None:
-            raise ValueError("route breakdowns require a vessel type")
-        cell = latlng_to_cell(lat, lon, self.resolution)
         return self.get(
-            GroupKey(
-                cell=cell,
-                vessel_type=vessel_type,
-                origin=origin,
-                destination=destination,
-            )
+            self._position_key(lat, lon, vessel_type, origin, destination)
+        )
+
+    def encoded_at(
+        self,
+        lat: float,
+        lon: float,
+        vessel_type: str | None = None,
+        origin: str | None = None,
+        destination: str | None = None,
+    ) -> bytes | None:
+        """:meth:`summary_at` as codec bytes (see :meth:`get_encoded`)."""
+        return self.get_encoded(
+            self._position_key(lat, lon, vessel_type, origin, destination)
+        )
+
+    def _position_key(
+        self,
+        lat: float,
+        lon: float,
+        vessel_type: str | None,
+        origin: str | None,
+        destination: str | None,
+    ) -> GroupKey:
+        check_breakdown(vessel_type, origin, destination)
+        return GroupKey(
+            cell=latlng_to_cell(lat, lon, self.resolution),
+            vessel_type=vessel_type,
+            origin=origin,
+            destination=destination,
         )
 
     def top_destinations_at(
@@ -319,7 +373,7 @@ class SSTableInventory(InventoryQueryMixin):
         return self._reader.entry_count
 
     def __contains__(self, key: GroupKey) -> bool:
-        return self.get(key) is not None
+        return self._lookup(key) is not None
 
     def items(self) -> Iterator[tuple[GroupKey, CellSummary]]:
         """All (key, summary) pairs in key order.
@@ -338,21 +392,25 @@ class SSTableInventory(InventoryQueryMixin):
 
     def get(self, key: GroupKey) -> CellSummary | None:
         """Point lookup through the block cache: at most one block read."""
-        with obs.span(SPAN_GET) as sp:
-            key_raw = sstable._key_bytes(key)
-            block_index = self._reader.find_block(key_raw)
-            if block_index is None:
-                sp.set("found", False)
-                return None
-            block = self._load_block(block_index, sp)
-            for entry_key, value_raw in self._reader.parse_entries(block):
-                if entry_key == key_raw:
-                    sp.set("found", True)
-                    return CellSummary.from_dict(decode(value_raw))
-                if entry_key > key_raw:
-                    break
-            sp.set("found", False)
+        found = self._lookup(key)
+        if found is None:
             return None
+        value_raw, block_index = found
+        return sstable._decode_summary(value_raw, self._path, block_index)
+
+    def get_encoded(self, key: GroupKey) -> bytes | None:
+        """Point lookup as the stored value bytes, with no codec work on
+        a v3 table: its block checksum was verified when the block was
+        read.  A v2 table has no checksum to trust, so its value must
+        decode before it is served (damage raises
+        :class:`~repro.inventory.sstable.CorruptionError`)."""
+        found = self._lookup(key)
+        if found is None:
+            return None
+        value_raw, block_index = found
+        if self._reader.checksum_algo is None:
+            sstable._decode_summary(value_raw, self._path, block_index)
+        return value_raw
 
     def route_cells(
         self, origin: str, destination: str, vessel_type: str
@@ -379,6 +437,24 @@ class SSTableInventory(InventoryQueryMixin):
         return result
 
     # -- internals -----------------------------------------------------------------
+
+    def _lookup(self, key: GroupKey) -> tuple[bytes, int] | None:
+        """The raw point lookup behind :meth:`get` and
+        :meth:`get_encoded`: find the block, load it through the cache,
+        scan its entries.  Returns (stored value bytes, block index)."""
+        with obs.span(SPAN_GET) as sp:
+            key_raw = sstable._key_bytes(key)
+            block_index = self._reader.find_block(key_raw)
+            if block_index is not None:
+                block = self._load_block(block_index, sp)
+                for entry_key, value_raw in self._reader.parse_entries(block):
+                    if entry_key == key_raw:
+                        sp.set("found", True)
+                        return value_raw, block_index
+                    if entry_key > key_raw:
+                        break
+            sp.set("found", False)
+            return None
 
     def _load_block(
         self, block_index: int, sp: obs.SpanLike = obs.NOOP_SPAN

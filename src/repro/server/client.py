@@ -158,7 +158,8 @@ class InventoryClient:
         positions are known up front: all lookups travel in a single
         frame, so framing and network round-trip cost is paid once
         instead of ``len(keys)`` times (the dominant cost for warm point
-        lookups — see ``benchmarks/bench_serving_throughput.py``).
+        lookups — compare ``python -m bench run --workload serve_uniform``
+        with ``--workload serve_hot``).
 
         Each key is a dict of the :meth:`summary_at` parameters:
         ``{"lat": …, "lon": …}`` plus optional ``vessel_type`` /
@@ -174,6 +175,15 @@ class InventoryClient:
         return [
             None if raw is None else protocol.summary_from_wire(raw)
             for raw in result.get("summaries", [])
+        ]
+
+    def multi_get_encoded(self, keys: list[dict]) -> list[bytes | None]:
+        """:meth:`multi_get` without the codec: each summary as the
+        codec bytes the server sent (what a router forwards)."""
+        result = self.request("multi_get", keys=list(keys))
+        return [
+            None if text is None else protocol.encoded_from_wire(text)
+            for text in result.get("summaries", [])
         ]
 
     def ingest(self, records: list[dict]) -> dict:

@@ -19,8 +19,11 @@ payload.
 Cell summaries do not travel as raw JSON: their sketch state round-trips
 through the inventory's own binary codec
 (:mod:`repro.inventory.codec`), base64-wrapped into the JSON envelope.
-The codec is the format the SSTables persist, so a summary read back by
-a client is bit-identical to what an in-process backend returns — the
+The codec is the format the SSTables persist, so a point answer's bytes
+*are* the stored value bytes: ``summary_at`` / ``multi_get`` forward a
+v3 table's value (block checksum already verified) with no codec work,
+and a v2 table's value once it has decoded cleanly.  A summary read back
+by a client is bit-identical to what an in-process backend returns — the
 server adds no serialisation of its own to trust.
 """
 
@@ -314,15 +317,28 @@ def error_response(
 # -- summary transport -----------------------------------------------------------
 
 
+def encoded_to_wire(raw: bytes) -> str:
+    """A summary's codec bytes as the base64 string the wire carries."""
+    return base64.b64encode(raw).decode("ascii")
+
+
+def encoded_from_wire(text: str) -> bytes:
+    """The codec bytes inside a wire summary (base64 only, no codec)."""
+    try:
+        return base64.b64decode(text.encode("ascii"))
+    except ValueError as exc:
+        raise ProtocolError(ERR_BAD_FRAME, f"undecodable summary payload: {exc}")
+
+
 def summary_to_wire(summary: CellSummary) -> str:
     """A cell summary as a base64 string of its codec encoding."""
-    return base64.b64encode(encode(summary.to_dict())).decode("ascii")
+    return encoded_to_wire(encode(summary.to_dict()))
 
 
 def summary_from_wire(text: str) -> CellSummary:
     """Reconstruct a summary sent by :func:`summary_to_wire`."""
     try:
-        payload = decode(base64.b64decode(text.encode("ascii")))
-    except (ValueError, CodecError) as exc:
+        payload = decode(encoded_from_wire(text))
+    except CodecError as exc:
         raise ProtocolError(ERR_BAD_FRAME, f"undecodable summary payload: {exc}")
     return CellSummary.from_dict(payload)

@@ -19,7 +19,7 @@ Routing shapes:
   request to one shard;
 - **``multi_get``** batches are grouped by owning shard and forwarded as
   one sub-``multi_get`` per shard (the
-  :meth:`ShardedInventory.multi_summary_at` hook the service discovers),
+  :meth:`ShardedInventory.multi_encoded_at` hook the service discovers),
   so a B-key batch costs ``min(B, shards)`` round trips, not B;
 - **``route_cells``** scatters to every shard and unions the disjoint
   partial answers in cell order — the single-node serialization order.
@@ -486,11 +486,11 @@ class ShardedInventory(InventoryQueryMixin):
                 merged.update(partial)
         return dict(sorted(merged.items()))
 
-    def multi_summary_at(self, keys: list[dict]) -> list[CellSummary | None]:
+    def multi_encoded_at(self, keys: list[dict]) -> list[bytes | None]:
         """Answer a validated ``multi_get`` batch: group keys by owning
-        shard, forward one sub-``multi_get`` per shard, reassemble in
-        request order.  The service hook that collapses a B-key batch
-        from B forwarded lookups to ``min(B, shards)`` round trips."""
+        shard, forward one sub-``multi_get`` per shard, reassemble the
+        shards' codec bytes, undecoded, in request order.  The service
+        hook that collapses B forwarded lookups to ``min(B, shards)``."""
         topology = self._topology
         by_shard: dict[int, list[int]] = {}
         for index, key in enumerate(keys):
@@ -498,7 +498,7 @@ class ShardedInventory(InventoryQueryMixin):
                 float(key["lat"]), float(key["lon"]), topology.resolution
             )
             by_shard.setdefault(topology.ring.primary(cell), []).append(index)
-        answers: list[CellSummary | None] = [None] * len(keys)
+        answers: list[bytes | None] = [None] * len(keys)
         with obs.span(SPAN_SCATTER, type="multi_get", shards=len(by_shard)):
             for shard_index, indices in by_shard.items():
                 shard = topology.shards[shard_index]
@@ -506,7 +506,7 @@ class ShardedInventory(InventoryQueryMixin):
                 try:
                     partial = self._call(
                         shard,
-                        lambda client, subset=subset: client.multi_get(subset),
+                        lambda client, subset=subset: client.multi_get_encoded(subset),
                     )
                 except ServerError as exc:
                     if (
@@ -524,8 +524,8 @@ class ShardedInventory(InventoryQueryMixin):
                             f"split the batch and retry",
                         )
                     raise
-                for position, summary in zip(indices, partial):
-                    answers[position] = summary
+                for position, raw in zip(indices, partial):
+                    answers[position] = raw
         return answers
 
     def cells(self) -> set[int]:

@@ -18,10 +18,11 @@ locks.
 from __future__ import annotations
 
 import json
+import math
 
 from repro.apps.destination import DestinationPredictor
 from repro.apps.eta import EtaEstimator
-from repro.inventory.backend import QueryableInventory
+from repro.inventory.backend import QueryableInventory, check_breakdown
 from repro.inventory.maintenance import IngestBackpressure
 from repro.inventory.sstable import SSTableError
 from repro.obs import trace as obs
@@ -34,6 +35,7 @@ from repro.server.protocol import (
     IngestBackpressureError,
     ProtocolError,
     UnknownRequestError,
+    encoded_to_wire,
     summary_to_wire,
 )
 
@@ -157,9 +159,14 @@ class InventoryService:
         }
 
     def _summary_at(self, request: dict) -> dict:
+        return {"summary": _to_wire(self._encoded_at(request))}
+
+    def _encoded_at(self, request: dict) -> bytes | None:
+        """One point answer as the backend's codec bytes (the stored
+        value bytes on a table backend: no decode, no re-encode)."""
         lat, lon = _position(request)
         try:
-            summary = self.inventory.summary_at(
+            return self.inventory.encoded_at(
                 lat,
                 lon,
                 vessel_type=_string(request, "vessel_type"),
@@ -170,7 +177,6 @@ class InventoryService:
             raise  # storage fault, not a bad request: keep it typed
         except ValueError as exc:
             raise BadRequestError(str(exc))
-        return {"summary": None if summary is None else summary_to_wire(summary)}
 
     def _top_destinations_at(self, request: dict) -> dict:
         lat, lon = _position(request)
@@ -278,88 +284,45 @@ class InventoryService:
 
     def _multi_get(self, request: dict) -> dict:
         # N summary_at point lookups in one frame; summaries come back in
-        # key order (None where the cell is empty).  The running byte
-        # count is exact for the payload (base64 needs no JSON escaping):
-        # each summary costs len(wire) + quotes + comma, a miss costs
-        # `null` + comma.
+        # key order (None where the cell is empty).  Every key is
+        # validated before the first lookup, so the first invalid key
+        # fails the batch with the same ``keys[i]: ...`` error whether
+        # the backend answers key by key or, like the sharded router,
+        # the whole batch at once (its ``multi_encoded_at`` hook: one
+        # sub-``multi_get`` per shard instead of N round trips).  The
+        # running byte count is exact for the payload (base64 needs no
+        # JSON escaping): each summary costs len(wire) + quotes + comma,
+        # a miss costs `null` + comma.
         keys = self._fanout_items(request, "keys")
-        batch = self._multi_get_batched(keys)
-        if batch is not None:
-            return batch
-        summaries: list[str | None] = []
-        size = 0
         for index, key in enumerate(keys):
             self._validate_multi_key(key, index)
-            try:
-                summary = self.inventory.summary_at(
-                    *_position(key),
-                    vessel_type=_string(key, "vessel_type"),
-                    origin=_string(key, "origin"),
-                    destination=_string(key, "destination"),
-                )
-            except SSTableError:
-                raise  # storage fault, not a bad request: keep it typed
-            except BadRequestError as exc:
-                raise BadRequestError(f"keys[{index}]: {exc}")
-            except ValueError as exc:
-                raise BadRequestError(f"keys[{index}]: {exc}")
-            wire = None if summary is None else summary_to_wire(summary)
+        multi = getattr(self.inventory, "multi_encoded_at", None)
+        answers = multi(keys) if callable(multi) else map(self._encoded_at, keys)
+        summaries: list[str | None] = []
+        size = 0
+        for index, raw in enumerate(answers):
+            wire = _to_wire(raw)
             size += 5 if wire is None else len(wire) + 3
             self._check_multi_budget(size, index)
             summaries.append(wire)
         return {"summaries": summaries}
 
     def _validate_multi_key(self, key: object, index: int) -> None:
-        """The per-key validation of the loop above, factored out so the
-        batched path can run it *eagerly* with identical error text.
-
-        The backend query itself raises only storage faults, so whether
-        validation is interleaved (loop) or up-front (batch), the first
-        invalid key produces the same ``keys[i]: ...`` error.
-        """
+        """Everything a ``multi_get`` key can be rejected for, named by
+        its index: after this, a lookup raises only storage faults."""
         if not isinstance(key, dict):
             raise BadRequestError(
                 f"keys[{index}] must be an object, got {type(key).__name__}"
             )
         try:
             _position(key)
-            vessel_type = _string(key, "vessel_type")
-            origin = _string(key, "origin")
-            destination = _string(key, "destination")
-            # The backend mixin's pairing rules, applied pre-dispatch
-            # (same strings as InventoryQueryMixin.summary_at).
-            if (origin is None) != (destination is None):
-                raise BadRequestError(
-                    "origin and destination must be provided together"
-                )
-            if origin is not None and vessel_type is None:
-                raise BadRequestError("route breakdowns require a vessel type")
-        except BadRequestError as exc:
+            check_breakdown(
+                _string(key, "vessel_type"),
+                _string(key, "origin"),
+                _string(key, "destination"),
+            )
+        except (BadRequestError, ValueError) as exc:
             raise BadRequestError(f"keys[{index}]: {exc}")
-
-    def _multi_get_batched(self, keys: list) -> dict | None:
-        """Delegate a whole ``multi_get`` batch to the backend, when it
-        can do better than N sequential point lookups.
-
-        A sharded backend groups keys by owning shard and issues one
-        sub-``multi_get`` per shard instead of N round trips; answers
-        (and the byte budget, and all error envelopes) are identical to
-        the sequential path.  Returns None when the backend has no
-        ``multi_summary_at`` — the plain loop then runs.
-        """
-        multi = getattr(self.inventory, "multi_summary_at", None)
-        if not callable(multi):
-            return None
-        for index, key in enumerate(keys):
-            self._validate_multi_key(key, index)
-        summaries: list[str | None] = []
-        size = 0
-        for index, summary in enumerate(multi(keys)):
-            wire = None if summary is None else summary_to_wire(summary)
-            size += 5 if wire is None else len(wire) + 3
-            self._check_multi_budget(size, index)
-            summaries.append(wire)
-        return {"summaries": summaries}
 
     def _multi_query(self, request: dict) -> dict:
         # A pipelined batch of arbitrary (non-multi) requests.  Responses
@@ -400,6 +363,10 @@ class InventoryService:
         return {"responses": responses}
 
 
+def _to_wire(raw: bytes | None) -> str | None:
+    return None if raw is None else encoded_to_wire(raw)
+
+
 # -- parameter validation --------------------------------------------------------
 
 
@@ -408,10 +375,18 @@ def _position(request: dict) -> tuple[float, float]:
 
 
 def _float(request: dict, name: str) -> float:
+    # JSON decoding accepts NaN and ±Infinity, and the grid maps them to
+    # an arbitrary cell: a garbage position must not read as "no data".
     value = request.get(name)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise BadRequestError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadRequestError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _int(request: dict, name: str, default: int, minimum: int) -> int:

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.inventory.codec import decode, encode
 from repro.inventory.keys import (
     ALL_GROUPING_SETS,
     GroupingSet,
@@ -71,6 +73,21 @@ def _update(summary, mmsi=1, sog=10.0, cog=90.0, heading=89, trip="t1",
         eto_s=eto, ata_s=ata, origin=origin, destination=destination,
         next_cell=next_cell,
     )
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_RECORDS = st.fixed_dictionaries({
+    "mmsi": st.integers(min_value=0, max_value=999_999_999),
+    "sog": st.floats(min_value=0.0, max_value=60.0, **_FINITE),
+    "cog": st.floats(min_value=0.0, max_value=359.99, **_FINITE),
+    "heading": st.one_of(st.none(), st.integers(min_value=0, max_value=359)),
+    "trip": st.one_of(st.none(), st.sampled_from(["t1", "t2", "t3"])),
+    "eto": st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6, **_FINITE)),
+    "ata": st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6, **_FINITE)),
+    "origin": st.one_of(st.none(), st.sampled_from(["A", "B", "CNSHA"])),
+    "destination": st.one_of(st.none(), st.sampled_from(["X", "NLRTM"])),
+    "next_cell": st.one_of(st.none(), st.integers(min_value=0, max_value=2**40)),
+})
 
 
 class TestCellSummary:
@@ -169,6 +186,28 @@ class TestCellSummary:
         assert [t.value for t in restored.transitions.top(3)] == [
             t.value for t in summary.transitions.top(3)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(_RECORDS, max_size=40),
+        split=st.integers(min_value=0, max_value=40),
+        config=st.sampled_from(
+            [SummaryConfig(), SummaryConfig(hll_precision=6, topn_capacity=3)]
+        ),
+    )
+    def test_codec_roundtrip_is_byte_exact(self, records, split, config):
+        """``encode ∘ to_dict ∘ from_dict ∘ decode`` is the identity on
+        stored bytes — what lets the server answer with the stored value
+        bytes instead of decoding and re-encoding them, and lets
+        compaction copy a value it does not merge."""
+        left, right = CellSummary(config), CellSummary(config)
+        for index, record in enumerate(records):
+            _update(left if index < split else right, **record)
+        left.merge(right)  # a merged summary, as compaction stores it
+        for summary in (left, right):
+            stored = encode(summary.to_dict())
+            restored = CellSummary.from_dict(decode(stored))
+            assert encode(restored.to_dict()) == stored
 
     def test_percentiles_ordered(self):
         rng = random.Random(10)

@@ -15,6 +15,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import base64
 import io
 import socket
 import struct
@@ -32,6 +33,8 @@ from repro.inventory import (
 )
 from repro.hexgrid import cell_to_latlng, latlng_to_cell
 from repro.inventory.keys import GroupingSet
+from repro.inventory.live import LiveInventory
+from repro.inventory.sstable import SSTableReader, _key_from_bytes
 from repro.inventory.summary import CellSummary
 from repro.server import (
     InventoryClient,
@@ -47,10 +50,11 @@ from repro.server import protocol
 # -- helpers ---------------------------------------------------------------------
 
 
-def _tiny_inventory() -> Inventory:
-    """A two-cell in-memory inventory for fault tests (no pipeline run)."""
+def _tiny_inventory(cells: int = 2) -> Inventory:
+    """A small in-memory inventory for fault tests (no pipeline run)."""
     inventory = Inventory(resolution=6)
-    for i, (lat, lon) in enumerate([(5.0, 100.0), (6.0, 101.0)]):
+    for i in range(cells):
+        lat, lon = 5.0 + i, 100.0 + i
         summary = CellSummary()
         for j in range(3):
             summary.update(
@@ -288,6 +292,46 @@ class TestEquivalence:
         assert client.ping() is True  # same connection still serves
 
 
+class TestNonFinitePositions:
+    """JSON decoding accepts ``NaN`` and ``±Infinity``; the grid would map
+    them to an arbitrary cell, so a garbage position is a bad request,
+    never an answer of "no data" for some other cell."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "request_type", ["summary_at", "eta", "top_destinations_at"]
+    )
+    def test_point_queries_reject(self, request_type, value):
+        service = InventoryService(_tiny_inventory())
+        with pytest.raises(protocol.BadRequestError, match="lat must be a finite number"):
+            service.handle({"type": request_type, "lat": value, "lon": 100.0})
+        with pytest.raises(protocol.BadRequestError, match="lon must be a finite number"):
+            service.handle({"type": request_type, "lat": 5.0, "lon": value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_multi_get_names_the_key(self, value):
+        service = InventoryService(_tiny_inventory())
+        keys = [{"lat": 5.0, "lon": 100.0}, {"lat": value, "lon": 100.0}]
+        with pytest.raises(
+            protocol.BadRequestError, match=r"keys\[1\]: lat must be a finite number"
+        ):
+            service.handle({"type": "multi_get", "keys": keys})
+
+    def test_integer_beyond_float_range_rejects(self):
+        service = InventoryService(_tiny_inventory())
+        with pytest.raises(protocol.BadRequestError, match="finite number"):
+            service.handle({"type": "summary_at", "lat": 10**400, "lon": 0.0})
+
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_json_literal_over_the_wire(self, served_backend, literal):
+        address, _ = served_backend
+        payload = b'{"id":1,"type":"summary_at","lat":%s,"lon":3.0}' % literal
+        response = _raw_exchange(address, struct.pack(">I", len(payload)) + payload)
+        assert response["ok"] is False
+        assert response["error"]["code"] == protocol.ERR_BAD_REQUEST
+        assert "finite number" in response["error"]["message"]
+
+
 # -- fault isolation -------------------------------------------------------------
 
 
@@ -497,21 +541,33 @@ class TestCorruptionResponses:
     error response on a live connection — never a wrong answer, never a
     dead socket — and is counted for operators."""
 
-    @pytest.fixture()
-    def corrupt_served(self, tmp_path):
-        inventory = _tiny_inventory()
+    @pytest.fixture(params=["v3-block-scribble", "v2-type-tag"])
+    def corrupt_served(self, request, tmp_path):
         path = tmp_path / "inventory.sst"
-        write_inventory(inventory, path)
-        payload = bytearray(path.read_bytes())
-        # Scribble over the first data block (footer and index intact,
-        # so the backend opens cleanly and fails only when a query
-        # actually reads the damaged block).
-        for offset in range(40, 90):
-            payload[offset] ^= 0xFF
+        if request.param == "v3-block-scribble":
+            inventory = _tiny_inventory()
+            write_inventory(inventory, path)
+            payload = bytearray(path.read_bytes())
+            # Scribble over the first data block (footer and index
+            # intact, so the backend opens cleanly and fails only when a
+            # query actually reads the damaged block).
+            for offset in range(40, 90):
+                payload[offset] ^= 0xFF
+            probe = cell_to_latlng(
+                next(key for key, _ in inventory.items()).cell
+            )
+        else:
+            # A v2 table has no checksums: the damage (the first value's
+            # codec type tag turned into an unknown one) surfaces only
+            # when the value is decoded, and must still read as storage
+            # damage, not as the client's bad request.
+            write_inventory(_tiny_inventory(cells=40), path, version=2)
+            with SSTableReader(path) as reader:
+                key_raw, _, _ = next(reader.scan_raw())
+            payload = bytearray(path.read_bytes())
+            payload[8 + 6 + len(key_raw)] = ord("Z")  # magic, entry header, key
+            probe = cell_to_latlng(_key_from_bytes(key_raw).cell)
         path.write_bytes(bytes(payload))
-        probe = cell_to_latlng(
-            next(key for key, _ in inventory.items()).cell
-        )
         with SSTableInventory(path, resolution=6, cache_blocks=8) as backend:
             service = InventoryService(backend)
             with ServerThread(service) as handle:
@@ -540,6 +596,96 @@ class TestCorruptionResponses:
         assert counters[CORRUPTION_TOTAL] == 1
         assert counters[f"server.errors.{protocol.ERR_CORRUPTION}"] == 1
         assert handle.server.metrics.corruption_errors == 1
+
+
+# -- served bytes are stored bytes -----------------------------------------------
+
+
+def _stored_values(path, step: int = 3) -> dict:
+    """{key: stored value bytes} of every ``step``-th entry of a table,
+    read raw (no codec)."""
+    with SSTableReader(path) as reader:
+        entries = list(reader.scan_raw())[::step]
+    return {_key_from_bytes(key_raw): value_raw for key_raw, value_raw, _ in entries}
+
+
+def _served(service: InventoryService, keys: list) -> dict:
+    """{key: codec bytes} a service answers for each key's position and
+    breakdown, asserting ``summary_at`` and ``multi_get`` agree."""
+    params = []
+    for key in keys:
+        lat, lon = cell_to_latlng(key.cell)
+        dims = {"vessel_type": key.vessel_type, "origin": key.origin,
+                "destination": key.destination}
+        params.append({"lat": lat, "lon": lon,
+                       **{k: v for k, v in dims.items() if v is not None}})
+    singles = [service.handle({"type": "summary_at", **p})["summary"] for p in params]
+    batched: list = []
+    for at in range(0, len(params), 64):
+        batched += service.handle(
+            {"type": "multi_get", "keys": params[at : at + 64]}
+        )["summaries"]
+    assert batched == singles
+    return {
+        key: None if wire is None else base64.b64decode(wire)
+        for key, wire in zip(keys, singles)
+    }
+
+
+class TestServedBytes:
+    """A point answer's bytes are the stored value bytes, whatever the
+    backend: what the byte-identity contracts (served == table, routed ==
+    single-node) rest on once the served path stops re-encoding."""
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_table_serves_its_stored_bytes(self, small_inventory, tmp_path,
+                                           version):
+        path = tmp_path / "inventory.sst"
+        write_inventory(small_inventory, path, version=version)
+        stored = _stored_values(path)
+        miss = GroupKey(cell=latlng_to_cell(-55.0, -130.0, small_inventory.resolution))
+        with SSTableInventory(path, cache_blocks=8) as backend:
+            served = _served(InventoryService(backend), [*stored, miss])
+        assert served == {**stored, miss: None}
+
+    def test_in_memory_inventory_serves_the_table_bytes(self, small_inventory,
+                                                        tmp_path):
+        path = tmp_path / "inventory.sst"
+        write_inventory(small_inventory, path)
+        stored = _stored_values(path)
+        assert _served(InventoryService(small_inventory), list(stored)) == stored
+
+    def test_live_inventory_serves_its_flushed_table_bytes(self, tmp_path):
+        records = [
+            {"mmsi": 563_000_000 + i % 3, "ts": 1_700_000_000.0 + 30.0 * i,
+             "lat": 1.25 + (i % 2), "lon": 103.8, "sog": 9.0 + i % 5,
+             "cog": float(i * 37 % 360), "vessel_type": "cargo",
+             "origin": "SGSIN", "destination": "NLRTM", "trip_id": f"t{i % 3}"}
+            for i in range(24)
+        ]
+        with LiveInventory(tmp_path / "live", resolution=6,
+                           background_maintenance=False) as live:
+            live.ingest_records(records)
+            stored = _stored_values(live.flush(), step=1)
+            assert len(stored) == 6  # 2 cells x 3 grouping sets
+            assert _served(InventoryService(live), list(stored)) == stored
+
+    def test_v3_table_serves_without_decoding(self, small_inventory, tmp_path,
+                                              monkeypatch):
+        path = tmp_path / "inventory.sst"
+        write_inventory(small_inventory, path)
+        stored = _stored_values(path)
+        with SSTableInventory(path, cache_blocks=8) as backend:
+            service = InventoryService(backend)
+
+            def no_decode(payload):
+                raise AssertionError("the served path decoded a summary")
+
+            for target in ("repro.inventory.codec.decode",
+                           "repro.inventory.sstable.decode",
+                           "repro.inventory.backend.decode"):
+                monkeypatch.setattr(target, no_decode, raising=False)
+            assert _served(service, list(stored)) == stored
 
 
 # -- multi-request frames --------------------------------------------------------
