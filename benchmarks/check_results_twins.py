@@ -16,6 +16,10 @@ Checked, per ``bench_*.py`` module:
   the file stem);
 - the twins agree: the JSON's ``lines`` render exactly the text file.
 
+And per results table: a ``results/<name>.txt`` or ``.json`` whose
+``bench_<name>.py`` is gone is an orphan — retiring a benchmark
+retires its tables too.
+
 Exits non-zero listing every violation.  Figure sidecars (``*.ppm``)
 ride along unchecked — they are pixel artefacts, not tables.
 
@@ -42,9 +46,21 @@ def expected_names() -> list[str]:
     )
 
 
+def orphans() -> list[str]:
+    """Results tables (``.txt``/``.json``) with no benchmark module."""
+    names = set(expected_names())
+    return sorted(
+        f"{path.name}: no bench_{path.stem}.py writes it — delete it "
+        f"with its benchmark"
+        for suffix in ("txt", "json")
+        for path in RESULTS_DIR.glob(f"*.{suffix}")
+        if path.stem not in names
+    )
+
+
 def check(names: list[str] | None = None) -> list[str]:
     """Return every twin violation (empty means the contract holds)."""
-    problems: list[str] = []
+    problems = orphans()
     for name in names if names is not None else expected_names():
         txt = RESULTS_DIR / f"{name}.txt"
         twin = RESULTS_DIR / f"{name}.json"

@@ -29,7 +29,6 @@ from repro.pipeline.records import CellRecord, CleanRecord, TripRecord
 from repro.pipeline.geofence import PortIndex
 from repro.pipeline.extras import ExtraFeature, wind_features
 from repro.pipeline.run import PipelineResult, build_inventory
-from repro.pipeline.streaming import StreamingInventoryBuilder, StreamStats
 
 __all__ = [
     "PipelineConfig",
@@ -41,6 +40,4 @@ __all__ = [
     "wind_features",
     "PipelineResult",
     "build_inventory",
-    "StreamingInventoryBuilder",
-    "StreamStats",
 ]

@@ -31,12 +31,6 @@ class PipelineConfig:
     #: Resolution of the geofence port index (coarser than the analysis
     #: resolution; only used for candidate lookup).
     geofence_index_resolution: int = 5
-    #: Run the funnel on columnar record batches
-    #: (:mod:`repro.pipeline.vectorized`).  Bit-identical to the scalar
-    #: path — the equivalence suite pins byte-equal SSTables — so this
-    #: is a pure performance switch; ``False`` selects the scalar
-    #: reference implementation.
-    vectorized: bool = True
     summary: SummaryConfig = field(default_factory=SummaryConfig)
     #: Fused non-AIS features (§5 future work), e.g.
     #: :func:`repro.pipeline.extras.wind_features`.

@@ -50,10 +50,8 @@ from repro.obs import trace as obs
 from repro.pipeline import cleaning, vectorized
 from repro.pipeline import manifest as build_manifests
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.features import fan_out, make_create, make_update, merge_summaries
+from repro.pipeline.features import merge_summaries
 from repro.pipeline.geofence import PortIndex
-from repro.pipeline.projection import project_trip
-from repro.pipeline.trips import annotate_trips
 from repro.world.fleet import Vessel
 from repro.world.ports import Port
 
@@ -306,22 +304,24 @@ def _build_window(
 ) -> tuple[Inventory, dict[str, int]]:
     """One pipeline pass over one window; returns (inventory, funnel).
 
-    Dispatches between the columnar (default) and scalar funnels — same
-    stages, same spans, same funnel keys, bit-identical inventories
-    (the equivalence suite pins it); only the record representation
-    between stages differs.
+    Record batches flow between the stages: enrichment emits one
+    :class:`CleanBatch` per vessel, trips one :class:`TripBatch` per
+    trip, projection runs batch-at-a-time on the engine's
+    ``map_batches`` path, and aggregation folds whole partitions of
+    :class:`CellBatch` es into partial summaries
+    (:func:`~repro.pipeline.vectorized.aggregate_partition`) before the
+    combine shuffle.  Each kernel is the columnar twin of a per-record
+    stage function (``enrich_track``, ``annotate_trips``,
+    ``project_trip``, ``fan_out``/``make_update``), which stay as the
+    readable specification; the per-stage oracle in
+    ``tests/test_pipeline_batches.py`` pins each pair bit for bit.
     """
-    build = _build_window_batched if config.vectorized else _build_window_scalar
-    return build(positions, fleet, ports, config, engine)
+    static_by_mmsi = {vessel.mmsi: vessel for vessel in fleet}
+    port_index = PortIndex(
+        ports, index_resolution=config.geofence_index_resolution
+    )
+    funnel: dict[str, int] = {"raw": len(positions)}
 
-
-def _clean_stage(
-    positions: list[PositionReport],
-    config: PipelineConfig,
-    engine: Engine,
-    funnel: dict[str, int],
-):
-    """§3.3.1 up to per-vessel feasible tracks (shared by both funnels)."""
     with obs.span(SPAN_CLEAN, rows_in=len(positions)) as clean_span:
         raw = engine.parallelize(positions)
         valid = raw.filter(cleaning.validate).persist()
@@ -342,119 +342,6 @@ def _clean_stage(
             len(reports) for _, reports in tracks.collect()
         )
         clean_span.set("rows_out", funnel["feasible"])
-    return tracks
-
-
-def _build_window_scalar(
-    positions: list[PositionReport],
-    fleet: list[Vessel],
-    ports: tuple[Port, ...],
-    config: PipelineConfig,
-    engine: Engine,
-) -> tuple[Inventory, dict[str, int]]:
-    """The scalar reference funnel: one frozen record per report."""
-    static_by_mmsi = {vessel.mmsi: vessel for vessel in fleet}
-    port_index = PortIndex(
-        ports, index_resolution=config.geofence_index_resolution
-    )
-    funnel: dict[str, int] = {"raw": len(positions)}
-    tracks = _clean_stage(positions, config, engine, funnel)
-
-    with obs.span(SPAN_ENRICH, rows_in=funnel["feasible"]) as enrich_span:
-        enriched = (
-            tracks.map(
-                lambda kv: (
-                    kv[0],
-                    cleaning.enrich_track(
-                        kv[0],
-                        kv[1],
-                        static_by_mmsi,
-                        min_grt=config.min_grt,
-                        commercial_only=config.commercial_only,
-                    ),
-                )
-            )
-            .filter(lambda kv: kv[1] is not None)
-            .persist()
-        )
-        funnel["commercial"] = sum(
-            len(records) for _, records in enriched.collect()
-        )
-        enrich_span.set("rows_out", funnel["commercial"])
-
-    with obs.span(SPAN_TRIPS, rows_in=funnel["commercial"]) as trips_span:
-        trip_records = (
-            enriched.map_values(
-                lambda records: annotate_trips(
-                    records, port_index, stop_speed_kn=config.stop_speed_kn
-                )
-            )
-            .flat_map_values(
-                lambda records: _split_by_trip(records)
-            )
-            .persist()
-        )
-        funnel["with_trip_semantics"] = sum(
-            len(trip) for _, trip in trip_records.collect()
-        )
-        trips_span.set("rows_out", funnel["with_trip_semantics"])
-
-    with obs.span(SPAN_PROJECT):
-        cell_records = trip_records.map_values(
-            lambda trip: project_trip(
-                trip,
-                config.resolution,
-                densify=config.densify_transitions,
-                extra_features=config.extra_features,
-            )
-        ).flat_map(lambda kv: kv[1])
-        if obs.enabled():
-            # Projection is lazy — it would otherwise run (and be billed)
-            # inside the aggregation span.  Force it here while tracing so
-            # the Fig. 3 profile attributes its cost to the right stage;
-            # untraced builds keep the fused lazy plan.
-            cell_records = cell_records.persist()
-            cell_records.count()
-
-    with obs.span(SPAN_AGGREGATE) as agg_span:
-        summary_config = config.effective_summary
-        grouped = cell_records.flat_map(fan_out).combine_by_key(
-            create=make_create(summary_config),
-            merge_value=make_update(summary_config),
-            merge_combiners=merge_summaries,
-            label="aggregate_summaries",
-        )
-
-        inventory = Inventory(config.resolution, summary_config)
-        for key_tuple, summary in grouped.collect():
-            inventory.put(GroupKey.from_tuple(key_tuple), summary)
-        agg_span.set("groups", len(inventory))
-    return inventory, funnel
-
-
-def _build_window_batched(
-    positions: list[PositionReport],
-    fleet: list[Vessel],
-    ports: tuple[Port, ...],
-    config: PipelineConfig,
-    engine: Engine,
-) -> tuple[Inventory, dict[str, int]]:
-    """The columnar funnel: record batches between stages.
-
-    Stage for stage the same plan as the scalar funnel over the same
-    persisted ``tracks`` — enrichment emits one :class:`CleanBatch` per
-    vessel, trips one :class:`TripBatch` per trip, projection runs
-    batch-at-a-time on the engine's ``map_batches`` path, and
-    aggregation folds whole partitions of :class:`CellBatch` es into
-    partial summaries (:func:`~repro.pipeline.vectorized
-    .aggregate_partition`) before the usual combine shuffle.
-    """
-    static_by_mmsi = {vessel.mmsi: vessel for vessel in fleet}
-    port_index = PortIndex(
-        ports, index_resolution=config.geofence_index_resolution
-    )
-    funnel: dict[str, int] = {"raw": len(positions)}
-    tracks = _clean_stage(positions, config, engine, funnel)
 
     with obs.span(SPAN_ENRICH, rows_in=funnel["feasible"]) as enrich_span:
         enriched = (
@@ -495,8 +382,10 @@ def _build_window_batched(
             label="project_batches",
         )
         if obs.enabled():
-            # Same eager-while-tracing rule as the scalar funnel: keep
-            # the Fig. 3 attribution honest.
+            # Projection is lazy — it would otherwise run (and be billed)
+            # inside the aggregation span.  Force it here while tracing so
+            # the Fig. 3 profile attributes its cost to the right stage;
+            # untraced builds keep the fused lazy plan.
             cell_batches = cell_batches.persist()
             cell_batches.count()
 
@@ -509,8 +398,8 @@ def _build_window_batched(
             label="aggregate_kernel",
         )
         # Partition-local keys are already unique, so map-side combine
-        # is a pass-through; the shuffle + reduce-side merge is shared
-        # with the scalar plan (same partitioner, same merge order).
+        # is a pass-through; the shuffle + reduce-side merge folds the
+        # partials in partition order.
         grouped = partials.combine_by_key(
             create=lambda summary: summary,
             merge_value=merge_summaries,
@@ -523,8 +412,7 @@ def _build_window_batched(
         # reduce), which allocates one summary per live group; pausing
         # the cyclic collector for the stage avoids gen-2 re-scans of
         # that growing, fully-reachable population (~4x on summary
-        # creation).  The scalar path stays unwrapped: it is the
-        # reference implementation, not the fast path.
+        # creation).
         with gc_paused():
             for key_tuple, summary in grouped.collect():
                 inventory.put(GroupKey.from_tuple(key_tuple), summary)
@@ -552,15 +440,3 @@ def _time_windows(
 def _stage_seconds(engine: Engine) -> dict[str, float]:
     return dict(engine.metrics.by_label()) if engine.metrics is not None else {}
 
-
-def _split_by_trip(records):
-    """Group a vessel's trip records into per-trip lists (records arrive
-    time-ordered, trips are contiguous runs of one trip id)."""
-    trips: list[list] = []
-    current_id: str | None = None
-    for record in records:
-        if record.trip_id != current_id:
-            trips.append([])
-            current_id = record.trip_id
-        trips[-1].append(record)
-    return trips

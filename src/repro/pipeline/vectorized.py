@@ -17,9 +17,10 @@ path applies, in the same order — it only amortizes everything that is
 - Space-Saving counts use the weighted update, which is exactly
   equivalent to repeated unit updates.
 
-The equivalence suite (``tests/test_batch_equivalence.py``) pins the
-result: byte-identical summaries and SSTables against the scalar
-funnel on a seeded world.
+The per-stage oracle (``tests/test_pipeline_batches.py``) pins each
+kernel against its scalar twin on a seeded world: equal records for
+enrichment, trips and projection, codec-byte-identical partial
+summaries in the same first-touch order for aggregation.
 """
 
 from __future__ import annotations

@@ -128,7 +128,11 @@ class TDigest:
                     return hi_val
                 frac = (target - lo_pos) / (hi_pos - lo_pos)
                 frac = min(1.0, max(0.0, frac))
-                return lo_val + frac * (hi_val - lo_val)
+                # Cancellation in ``hi - lo`` can push the interpolant past
+                # the data (e.g. -1 vs -2**53); the clamp never changes an
+                # in-range answer.
+                value = lo_val + frac * (hi_val - lo_val)
+                return min(self.max_value, max(self.min_value, value))
             cumulative += weight
         return self.max_value
 
@@ -162,12 +166,20 @@ class TDigest:
         return len(self._means)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable state."""
-        self._compress()
+        """JSON-serialisable state.
+
+        Pure: buffered points are folded into a compressed *copy*, so
+        serialising a digest that keeps receiving updates (a reader
+        snapshotting a live memtable) never moves the centroid
+        boundaries its later compressions start from.
+        """
+        means, weights = (
+            self._compressed() if self._buffer else (self._means, self._weights)
+        )
         return {
             "compression": self.compression,
-            "means": list(self._means),
-            "weights": list(self._weights),
+            "means": list(means),
+            "weights": list(weights),
             "min": None if self.count == 0 else self.min_value,
             "max": None if self.count == 0 else self.max_value,
         }
@@ -194,11 +206,15 @@ class TDigest:
     def _compress(self) -> None:
         if not self._buffer:
             return
+        self._means, self._weights = self._compressed()
+        self._buffer.clear()
+
+    def _compressed(self) -> tuple[list[float], list[float]]:
+        """Centroids and buffered points swept into new centroid lists."""
         points = sorted(
             list(zip(self._means, self._weights)) + self._buffer,
             key=lambda pair: pair[0],
         )
-        self._buffer.clear()
         total = sum(weight for _, weight in points)
         means: list[float] = []
         weights: list[float] = []
@@ -219,5 +235,4 @@ class TDigest:
                 cur_mean, cur_weight = mean, weight
         means.append(cur_mean)
         weights.append(cur_weight)
-        self._means = means
-        self._weights = weights
+        return means, weights

@@ -15,6 +15,7 @@ The contracts under test:
 """
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -310,6 +311,45 @@ class TestConcurrentReads:
                 stop.set()
                 reader.join()
         assert errors == []
+
+
+class TestReadsAreSideEffectFree:
+    def test_reads_between_batches_do_not_change_the_flushed_table(
+        self, tmp_path
+    ):
+        """Reads serialise shared active-memtable summaries; that must not
+        move the t-digest centroids later records fold into.  Two cells
+        and distinct speeds give each digest a long, varied buffer."""
+        records = [
+            replace(
+                record,
+                lat=1.0 + (i % 2) * 0.35,
+                lon=103.0,
+                sog=(i * 7919 % 1009) / 50.0,
+            )
+            for i, record in enumerate(_records(3000))
+        ]
+        key = GroupKey(
+            cell=latlng_to_cell(records[0].lat, records[0].lon, RESOLUTION)
+        )
+
+        def flushed_bytes(directory, read):
+            with LiveInventory(
+                directory,
+                resolution=RESOLUTION,
+                flush_records=0,
+                background_maintenance=False,
+            ) as inv:
+                for i in range(0, len(records), 50):
+                    inv.ingest(records[i : i + 50])
+                    if read:
+                        inv.get(key)
+                        list(inv.items())
+                return inv.flush().read_bytes()
+
+        assert flushed_bytes(tmp_path / "read", True) == flushed_bytes(
+            tmp_path / "quiet", False
+        )
 
 
 class TestWireRecords:

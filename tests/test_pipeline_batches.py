@@ -9,21 +9,31 @@ Three layers of guarantees:
   ``add_bin_counts`` / ``update_hashed`` are bit-identical to the scalar
   update loops they replace, and the t-digest's deferred merge keeps its
   exact invariants (count/min/max) while staying query-consistent;
-- **end-to-end equivalence** — the batched funnel produces byte-identical
-  summaries and SSTables to the scalar funnel on the seeded world.  This
-  is the tentpole property: ``vectorized=True`` is an optimisation, never
-  a reinterpretation.
+- **per-stage oracle** — on the seeded world, vessel by vessel, each
+  columnar kernel equals its per-record twin: ``enrich_track``,
+  ``annotate_trips`` and ``project_trip`` record for record, and the
+  partition fold key for key, in first-touch order, with
+  codec-byte-identical summaries.  The kernels are an optimisation of
+  the per-record stage functions, never a reinterpretation.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from itertools import groupby
+from operator import attrgetter
 
-from repro import PipelineConfig, build_inventory
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro import PipelineConfig
 from repro.engine import Engine, EngineConfig
-from repro.inventory import write_inventory
 from repro.inventory.codec import encode
+from repro.pipeline import cleaning, vectorized
+from repro.pipeline.extras import wind_features
+from repro.pipeline.features import fan_out, make_create, make_update
+from repro.pipeline.geofence import PortIndex
+from repro.pipeline.projection import project_trip
+from repro.pipeline.trips import annotate_trips
 from repro.pipeline.batches import (
     NULL_INT,
     CellBatch,
@@ -324,6 +334,8 @@ class TestSketchBatchOps:
         right=st.lists(st.floats(min_value=-1e3, max_value=1e3,
                                  allow_nan=False), max_size=120),
     )
+    # Cancellation in the interpolation (-1 vs -2**53) must stay in [min, max].
+    @example(left=[], right=[-1.0, -1.0, -9007199254740996.0])
     def test_tdigest_deferred_merge_invariants(self, left, right):
         a, b = TDigest(compression=50), TDigest(compression=50)
         a.update_many(left)
@@ -352,48 +364,133 @@ class TestSketchBatchOps:
         assert not a._buffer
 
 
-# -- scalar vs batched funnel equivalence ----------------------------------------
+# -- per-stage oracle: each kernel against its scalar twin ----------------------
 
 
-@pytest.fixture(scope="module")
-def scalar_result(small_world):
-    """The same world built with the scalar (reference) funnel."""
-    return build_inventory(
-        small_world.positions,
-        small_world.fleet,
-        small_world.ports,
-        PipelineConfig(vectorized=False),
+def _vessel_stages(world, config):
+    """Every stage's scalar and batched output, vessel by vessel.
+
+    Cleaning runs without an engine (validate → per-vessel sort/dedupe →
+    feasibility filter); from there each stage feeds its scalar function
+    the scalar output and its kernel the batched output, so a mismatch
+    names the first stage that diverges.
+    """
+    static_by_mmsi = {vessel.mmsi: vessel for vessel in world.fleet}
+    port_index = PortIndex(
+        world.ports, index_resolution=config.geofence_index_resolution
     )
-
-
-class TestScalarBatchedEquivalence:
-    """The tentpole contract: vectorized=True changes nothing but speed."""
-
-    def test_funnel_counters_identical(self, small_result, scalar_result):
-        assert small_result.funnel == scalar_result.funnel
-
-    def test_every_summary_byte_identical(self, small_result, scalar_result):
-        batched = {
-            key.to_tuple(): summary
-            for key, summary in small_result.inventory.items()
+    by_mmsi: dict[int, list] = {}
+    for report in world.positions:
+        if cleaning.validate(report):
+            by_mmsi.setdefault(report.mmsi, []).append(report)
+    summary_config = config.effective_summary
+    stages = []
+    for mmsi, reports in sorted(by_mmsi.items()):
+        track = cleaning.feasibility_filter(
+            cleaning.sort_and_dedupe(reports), config.max_transition_speed_kn
+        )
+        enrich_args = (mmsi, track, static_by_mmsi)
+        enrich_kwargs = dict(
+            min_grt=config.min_grt, commercial_only=config.commercial_only
+        )
+        stage = {
+            "clean": cleaning.enrich_track(*enrich_args, **enrich_kwargs),
+            "clean_batch": vectorized.enrich_track_batch(
+                *enrich_args, **enrich_kwargs
+            ),
         }
-        scalar = {
-            key.to_tuple(): summary
-            for key, summary in scalar_result.inventory.items()
-        }
-        assert set(batched) == set(scalar)
-        mismatches = [
-            key
-            for key in batched
-            if encode(batched[key].to_dict()) != encode(scalar[key].to_dict())
+        stages.append(stage)
+        if stage["clean"] is None or stage["clean_batch"] is None:
+            continue
+        stage["trips"] = annotate_trips(
+            stage["clean"], port_index, stop_speed_kn=config.stop_speed_kn
+        )
+        stage["trip_batches"] = vectorized.annotate_trips_batch(
+            stage["clean_batch"], port_index, stop_speed_kn=config.stop_speed_kn
+        )
+        project_kwargs = dict(
+            densify=config.densify_transitions,
+            extra_features=config.extra_features,
+        )
+        stage["cells"] = [
+            project_trip(list(trip), config.resolution, **project_kwargs)
+            for _, trip in groupby(stage["trips"], key=attrgetter("trip_id"))
         ]
-        assert mismatches == []
+        stage["cell_batches"] = [
+            vectorized.project_batch(trip, config.resolution, **project_kwargs)
+            for trip in stage["trip_batches"]
+        ]
+        # The scalar map-side combine: fan_out, then create on first
+        # touch and update after, in row order.
+        create, update = make_create(summary_config), make_update(summary_config)
+        fold: dict[tuple, object] = {}
+        for cells in stage["cells"]:
+            for record in cells:
+                for key, row in fan_out(record):
+                    summary = fold.get(key)
+                    fold[key] = create(row) if summary is None else update(summary, row)
+        stage["partials"] = list(fold.items())
+        stage["partials_batch"] = list(
+            vectorized.aggregate_partition(stage["cell_batches"], summary_config)
+        )
+    return stages
 
-    def test_sstables_byte_identical(
-        self, small_result, scalar_result, tmp_path
-    ):
-        batched_path = tmp_path / "batched.sst"
-        scalar_path = tmp_path / "scalar.sst"
-        write_inventory(small_result.inventory, batched_path)
-        write_inventory(scalar_result.inventory, scalar_path)
-        assert batched_path.read_bytes() == scalar_path.read_bytes()
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        PipelineConfig(),
+        PipelineConfig(densify_transitions=True, extra_features=wind_features()),
+    ],
+    ids=["default", "densify-extras"],
+)
+def vessel_stages(request, small_world):
+    return _vessel_stages(small_world, request.param)
+
+
+class TestPerStageOracle:
+    """Each columnar kernel is bit-identical to its per-record twin."""
+
+    def test_enrich_track_batch_matches_enrich_track(self, vessel_stages):
+        for stage in vessel_stages:
+            if stage["clean"] is None:
+                assert stage["clean_batch"] is None
+            else:
+                assert stage["clean_batch"].to_records() == stage["clean"]
+        assert any(stage["clean"] is None for stage in vessel_stages)
+
+    def test_annotate_trips_batch_matches_annotate_trips(self, vessel_stages):
+        annotated = [stage for stage in vessel_stages if "trips" in stage]
+        for stage in annotated:
+            flattened = [
+                record
+                for trip in stage["trip_batches"]
+                for record in trip.to_records()
+            ]
+            assert flattened == stage["trips"]
+            assert len(stage["trip_batches"]) == len(stage["cells"])
+        assert sum(len(stage["trips"]) for stage in annotated) > 0
+
+    def test_project_batch_matches_project_trip(self, vessel_stages):
+        rows = 0
+        for stage in vessel_stages:
+            for batch, cells in zip(
+                stage.get("cell_batches", ()), stage.get("cells", ())
+            ):
+                assert batch.to_records() == cells
+                rows += len(cells)
+        assert rows > 0
+
+    def test_aggregate_partition_matches_scalar_fold(self, vessel_stages):
+        groups = 0
+        for stage in vessel_stages:
+            if "partials" not in stage:
+                continue
+            expected, got = stage["partials"], stage["partials_batch"]
+            # Same keys in the same first-touch order ...
+            assert [key for key, _ in got] == [key for key, _ in expected]
+            # ... holding codec-byte-identical sketch states.
+            for (key, summary), (_, reference) in zip(got, expected):
+                assert encode(summary.to_dict()) == encode(reference.to_dict()), key
+            groups += len(expected)
+        assert groups > 0
