@@ -9,6 +9,7 @@ ISO-8601 or raw epoch seconds on read.
 from __future__ import annotations
 
 import csv
+import re
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +36,17 @@ def _format_ts(epoch_ts: float) -> str:
     )
 
 
+#: The one shape :func:`write_csv` emits, ASCII digits only.
+_ISO_SECONDS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+
+
 def _parse_ts(text: str) -> float:
+    if _ISO_SECONDS.fullmatch(text):
+        # The fields strptime below reads, parsed in C; naive minus the
+        # naive epoch is the timedelta the aware timestamp() takes, so
+        # the float is the same.
+        return (datetime.fromisoformat(text) - _NAIVE_EPOCH).total_seconds()
     try:
         return float(text)
     except ValueError:

@@ -14,7 +14,8 @@ Two output modes:
   windows, each window's inventory is persisted as an SSTable, and the
   window tables are compacted with
   :func:`~repro.inventory.compaction.merge_tables` into one servable
-  table (the LSM pattern §5 alludes to).  The result carries the output
+  table (the LSM pattern §5 alludes to); a one-window build's table is
+  renamed onto the output instead.  The result carries the output
   path instead of a store; serve it with
   :class:`~repro.inventory.backend.SSTableInventory`.
 
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING
 from repro.ais.messages import PositionReport
 from repro.engine import Engine
 from repro.engine.memory import gc_paused
+from repro.inventory import fsio
 from repro.inventory.compaction import merge_tables
 from repro.inventory.keys import GroupKey
 from repro.inventory.sstable import (
@@ -89,8 +91,14 @@ SPAN_AGGREGATE = registry.register_span(
     "pipeline.aggregate",
     "feature extraction: grouping-set fan-out and combine_by_key reduce",
 )
+SPAN_WRITE = registry.register_span(
+    "pipeline.write",
+    "one window's inventory encoded and written as its staging table",
+)
 SPAN_COMPACT = registry.register_span(
-    "pipeline.compact", "k-way merge of window tables into the output table"
+    "pipeline.compact",
+    "k-way merge of window tables into the output table "
+    "(one window: its table renamed onto the output)",
 )
 SPAN_SHARD = registry.register_span(
     "pipeline.shard",
@@ -260,7 +268,8 @@ def _build_to_table(
                     inventory, window_funnel = _build_window(
                         position_window, fleet, ports, config, engine
                     )
-                    write_inventory(inventory, path)
+                    with obs.span(SPAN_WRITE, groups=len(inventory)):
+                        write_inventory(inventory, path)
                     record = build_manifests.WindowRecord(
                         index=index,
                         table_name=path.name,
@@ -276,7 +285,12 @@ def _build_to_table(
             cells.update(record.cells)
             window_paths.append(path)
         with obs.span(SPAN_COMPACT, tables=len(window_paths)):
-            entries = merge_tables(window_paths, output)
+            if windows == 1:
+                # Merging one table would rewrite it byte for byte.
+                _publish_table(window_paths[0], output)
+                entries = manifest.windows[0].entries
+            else:
+                entries = merge_tables(window_paths, output)
         completed = True
     finally:
         if completed:
@@ -293,6 +307,20 @@ def _build_to_table(
         output=output,
         entries=entries,
     )
+
+
+def _publish_table(staged: Path, output: Path) -> None:
+    """Move a finished table and its route sidecar onto ``output`` in
+    :meth:`~repro.inventory.sstable.SSTableWriter.close`'s commit order:
+    sidecar, table rename (the commit point), directory fsync.  The
+    sidecar's tag names the table's size and footer checksum, not its
+    path, so it stays valid across the rename.  A staged sidecar already
+    gone was moved by a run that died before its table rename."""
+    sidecar = route_index_path(staged)
+    if sidecar.exists():
+        fsio.rename(sidecar, route_index_path(output))
+    fsio.rename(staged, output)
+    fsio.fsync_dir(output.parent)
 
 
 def _build_window(

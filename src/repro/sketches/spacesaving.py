@@ -118,9 +118,9 @@ class SpaceSaving:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceSaving":
-        """Reconstruct from :meth:`to_dict` output.  JSON round-trips turn
-        tuple-valued items into lists; callers that store tuples should
-        re-tuple on read (the inventory codec preserves tuples natively)."""
+        """Reconstruct from :meth:`to_dict` output.  Both JSON and the
+        inventory codec decode tuple-valued items as lists; callers that
+        store tuples should re-tuple on read."""
         sketch = cls(capacity=int(data["capacity"]))
         sketch.total = int(data["total"])
         for value, count, error in data["items"]:

@@ -1,6 +1,9 @@
 """Tests for AIS validation predicates, vessel types and CSV I/O."""
 
+from datetime import datetime, timezone
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ais import (
     CSV_COLUMNS,
@@ -18,6 +21,7 @@ from repro.ais import (
     segment_for_type,
     write_csv,
 )
+from repro.ais.csvio import _parse_ts
 from repro.ais.messages import HEADING_NOT_AVAILABLE, PositionReport
 
 
@@ -166,3 +170,54 @@ class TestCsvIO:
         )
         rows = list(read_csv(path))
         assert rows[0].epoch_ts == 1_640_995_200.0
+
+
+def _strptime_ts(text):
+    """The timestamp parser before the fixed-shape fast path."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    parsed = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+    return parsed.replace(tzinfo=timezone.utc).timestamp()
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return "raised", type(exc)
+
+
+_MOMENTS = st.datetimes(
+    min_value=datetime(1970, 1, 1), max_value=datetime(2100, 12, 31, 23, 59, 59)
+)
+
+
+class TestTimestampParse:
+    @given(moment=_MOMENTS)
+    def test_canonical_timestamps_parse_as_strptime(self, moment):
+        text = moment.strftime("%Y-%m-%dT%H:%M:%S")
+        assert _parse_ts(text) == _strptime_ts(text)
+
+    @given(moment=_MOMENTS, miss=st.sampled_from([
+        lambda t: t.replace("-0", "-", 1),  # single-digit month
+        lambda t: t[:8] + t[8:].replace("0", "", 1),  # single-digit field
+        lambda t: t.replace("T", " "),
+        lambda t: t + "Z",
+        lambda t: t + "+01:00",
+        lambda t: t[:-3],
+        lambda t: "0" + t,
+        lambda t: t.replace("T", "t"),
+        lambda t: t.replace("1", "١"),  # a non-ASCII digit
+        lambda t: t[:5] + "02-30" + t[10:],  # Feb 30
+        lambda t: t[:11] + "24" + t[13:],
+        lambda t: t[:17] + "60",
+    ]))
+    def test_near_misses_parse_or_fail_as_strptime(self, moment, miss):
+        text = miss(moment.strftime("%Y-%m-%dT%H:%M:%S"))
+        assert _outcome(_parse_ts, text) == _outcome(_strptime_ts, text)
+
+    @given(text=st.text(alphabet="0123456789-T: .+Ze", max_size=22))
+    def test_arbitrary_text_parses_or_fails_as_strptime(self, text):
+        assert _outcome(_parse_ts, text) == _outcome(_strptime_ts, text)

@@ -240,8 +240,10 @@ def test_build_trace_records_the_fig3_funnel(build_trace):
     assert FIG3_FUNNEL_SPANS <= names, (
         f"missing funnel stages: {FIG3_FUNNEL_SPANS - names}"
     )
-    # the build skeleton is traced too
-    assert {"pipeline.build", "pipeline.window", "pipeline.compact"} <= names
+    # the build skeleton is traced too, table writes included
+    assert {
+        "pipeline.build", "pipeline.window", "pipeline.write", "pipeline.compact",
+    } <= names
     assert "engine.partition" in names
 
 

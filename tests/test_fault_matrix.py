@@ -301,6 +301,57 @@ class TestKillAndResume:
         assert not manifest_path(out).exists()
         assert not list(tmp_path.glob("inv.sst.w[0-9]"))
 
+    @pytest.fixture(scope="class")
+    def one_window(self, world, tmp_path_factory):
+        """An uninterrupted one-window build and the ops it performed."""
+        from repro import PipelineConfig, build_inventory
+
+        out = tmp_path_factory.mktemp("one_window") / "inv.sst"
+        counts = record_ops(lambda: build_inventory(
+            world.positions, world.fleet, world.ports, PipelineConfig(), output=out,
+        ))
+        return out, counts
+
+    # A one-window build publishes its staged table by rename: the last
+    # two renames are the sidecar and then the table, the last fsync is
+    # the directory's.  (op, position from the end, output files present
+    # after the crash: table, sidecar.)
+    @pytest.mark.parametrize("op, from_end, left", [
+        ("rename", 2, (False, False)),
+        ("rename", 1, (False, True)),
+        ("fsync", 1, (True, True)),
+    ])
+    def test_crash_in_one_window_publish_resumes_byte_identical(
+        self, world, one_window, tmp_path, op, from_end, left
+    ):
+        from repro import PipelineConfig, build_inventory
+        from repro.pipeline.manifest import manifest_path
+
+        ref_out, counts = one_window
+        out = tmp_path / "inv.sst"
+        plan = FaultPlan.single(op, counts[op] - from_end, "crash")
+        with FaultInjector(plan) as injector:
+            with pytest.raises(SimulatedCrash):
+                build_inventory(
+                    world.positions, world.fleet, world.ports,
+                    PipelineConfig(), output=out,
+                )
+        assert injector.crashed
+        assert (out.exists(), route_index_path(out).exists()) == left
+        assert manifest_path(out).exists()
+
+        build_inventory(
+            world.positions, world.fleet, world.ports,
+            PipelineConfig(), output=out, resume=True,
+        )
+        assert out.read_bytes() == ref_out.read_bytes()
+        assert (
+            route_index_path(out).read_bytes()
+            == route_index_path(ref_out).read_bytes()
+        )
+        assert not manifest_path(out).exists()
+        assert not list(tmp_path.glob("inv.sst.w*"))
+
     def test_resume_discards_manifest_from_different_inputs(
         self, world, reference, tmp_path, monkeypatch
     ):
