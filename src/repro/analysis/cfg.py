@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs for the interprocedural rules.
+"""Per-function control-flow graphs for the flow-aware rules.
 
 The PR-5 rules are syntactic: they can see *that* a lock is taken or a
 file is opened, but not *which paths* reach the end of the function.
@@ -23,8 +23,7 @@ that, so this module builds a statement-granularity CFG for one
   exceptions to the statement *after* the ``with`` — the one context
   manager in the tree that genuinely swallows exceptions.
 
-The graph never leaves the function: calls are plain statements here
-(interprocedural effects ride on :mod:`repro.analysis.callgraph`), and
+The graph never leaves the function: calls are plain statements, and
 nested ``def``/``class``/``lambda`` bodies are opaque single nodes —
 their code does not run where it is written.
 """

@@ -2,8 +2,8 @@
 
 On a pull request only the touched files matter to the author; the
 full-tree run still happens on ``main``.  The subtlety: cross-module
-rules (REP003's registry, REP007's lock graph, REP009's error codes)
-*cannot* analyze a file subset — a constant deleted in one file breaks
+rules (REP003's registry, REP009's error codes) *cannot* analyze a
+file subset — a constant deleted in one file breaks
 an invariant whose finding lands in another.  So ``--changed`` always
 **analyzes** the whole tree and then **reports** only findings anchored
 in files the diff touched.  A finding in an untouched file caused by a

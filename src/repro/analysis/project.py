@@ -43,22 +43,6 @@ _PRAGMA = re.compile(
 )
 _RULE_ID = re.compile(r"^REP\d{3}$")
 
-#: A ``lock-order`` declaration comment (``_maint_lock -> _write_lock ->
-#: _mem_lock`` style): the machine-readable form of a class's documented
-#: lock hierarchy, checked interprocedurally by REP007 (docs/STORAGE.md).
-_LOCK_ORDER = re.compile(r"#\s*repro:\s*lock-order\b(?P<names>.*)$")
-_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-@dataclass(frozen=True, slots=True)
-class LockOrder:
-    """One parsed ``# repro: lock-order a -> b -> c`` declaration."""
-
-    #: Line the declaration comment sits on.
-    line: int
-    #: Lock attribute names, outermost first.
-    names: tuple[str, ...]
-
 
 @dataclass(frozen=True, slots=True)
 class Pragma:
@@ -85,8 +69,6 @@ class Module:
         self.tree = tree
         self.lines = source.splitlines()
         self.pragmas: list[Pragma] = []
-        #: Parsed ``lock-order`` declarations found in this file.
-        self.lock_orders: list[LockOrder] = []
         #: REP000 findings from malformed pragmas in this file.
         self.pragma_errors: list[Finding] = []
         self._symtable: symtable.SymbolTable | None = None
@@ -135,10 +117,6 @@ class Module:
         for token in tokens:
             if token.type != tokenize.COMMENT:
                 continue
-            order = _LOCK_ORDER.search(token.string)
-            if order is not None:
-                self._scan_lock_order(order, token.start[0])
-                continue
             match = _PRAGMA.search(token.string)
             if match is None:
                 continue
@@ -171,31 +149,6 @@ class Module:
                     reason=reason,
                 )
             )
-
-    def _scan_lock_order(self, match: re.Match[str], line: int) -> None:
-        names = tuple(
-            part.strip() for part in match.group("names").split("->") if part.strip()
-        )
-        bogus = sorted(n for n in names if not _IDENTIFIER.match(n))
-        problem = None
-        if len(names) < 2:
-            problem = (
-                "lock-order declaration needs at least two lock names: "
-                "# repro: lock-order outer -> inner"
-            )
-        elif bogus:
-            problem = (
-                "lock-order declaration names are not attribute identifiers: "
-                + ", ".join(bogus)
-            )
-        elif len(set(names)) != len(names):
-            problem = "lock-order declaration repeats a lock name"
-        if problem is not None:
-            self.pragma_errors.append(
-                Finding(path=self.rel, line=line, rule=META_RULE, message=problem)
-            )
-            return
-        self.lock_orders.append(LockOrder(line=line, names=names))
 
 
 class Project:

@@ -101,10 +101,10 @@ def lock_item_attr(item: ast.withitem) -> str | None:
     """The ``self`` lock attribute one ``with``-item acquires, else ``None``.
 
     Matches ``with self.<attr containing "lock">:`` — optionally called,
-    e.g. ``self._lock.acquire_read()`` styles are out of scope.  Shared by
-    REP002 (lock discipline) and REP007 (lock order) so both rules agree
-    on what counts as a lock, *per item*: ``with self._a_lock,
-    self._b_lock:`` names two distinct locks, in acquisition order.
+    e.g. ``self._lock.acquire_read()`` styles are out of scope.  REP002
+    (lock discipline) reads locks *per item* through it: ``with
+    self._a_lock, self._b_lock:`` names two distinct locks, in
+    acquisition order.
     """
     expr = item.context_expr
     if isinstance(expr, ast.Call):

@@ -11,9 +11,8 @@ attribute is shared, then forgot one site.
 
 The rule tracks lock *identity*, not just "a lock was held": ``with
 self._a_lock, self._b_lock:`` acquires two named locks in item order
-(the shared :func:`~repro.analysis.rules.base.lock_item_attr` notion
-REP007 uses too), nested ``with`` blocks stack, and findings name the
-lock(s) the other sites held — so the fix is "take ``self._mem_lock``
+(:func:`~repro.analysis.rules.base.lock_item_attr`), nested ``with``
+blocks stack, and findings name the lock(s) the other sites held — so the fix is "take ``self._mem_lock``
 here", not "take some lock".  A **split guard** — the same attribute
 mutated under *disjoint* lock sets in different methods — is reported
 as well: two sites that each hold "a" lock but never the *same* lock

@@ -34,7 +34,6 @@ from repro.analysis.rules.corruption import SwallowedCorruptionRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.durability import DurableWriteRule
 from repro.analysis.rules.leaks import ResourceLeakRule
-from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.registry_sync import RegistrySyncRule
 from repro.analysis.rules.wire_errors import WireErrorSyncRule
@@ -48,7 +47,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     DeterminismRule,
     SwallowedCorruptionRule,
     AsyncBlockingRule,
-    LockOrderRule,
     ResourceLeakRule,
     WireErrorSyncRule,
 )

@@ -46,18 +46,22 @@ behind (too many sealed memtables, or tier debt over the limit) the
 backpressure valve blocks ingest for a bounded wait and then fails
 typed with :class:`~repro.inventory.maintenance.IngestBackpressure`.
 
-Locking is three-tier with a fixed order ``_maint_lock`` →
-``_write_lock`` → ``_mem_lock`` (each may be taken alone; never in the
-reverse order):
+Locking is two locks with one fixed order, ``_write_lock`` →
+``_mem_lock`` (each may be taken alone; ``_write_lock`` is never taken
+while ``_mem_lock`` is held):
 
-- ``_maint_lock`` serialises the *mutator* state jobs own after
-  construction (``_tables``, ``_next_table``, ``_wal_floor``).  The
-  ingest path and ``ingest_stats`` never take it: ``_tables`` is only
-  ever rebound, so they read it by reference while a job runs;
 - ``_write_lock`` serialises the WAL (appends, fsyncs, rotate, retire)
   and the seal step;
 - ``_mem_lock`` is the short mutex readers share with memtable
   application and view swaps, so reads never block on disk I/O.
+
+The state only maintenance jobs change after construction
+(``_tables``, ``_next_table``, ``_wal_floor``) has an owner instead of a
+lock: the maintenance scheduler, which runs one job at a time in both
+modes.  ``_tables`` is only ever rebound, never mutated in place, so the
+ingest valve, ``ingest_stats`` and ``table_paths`` read it by reference
+while a job runs.  The test suite checks the lock order at run time
+with a witness that wraps both locks (``tests/lock_witness.py``).
 """
 
 from __future__ import annotations
@@ -233,10 +237,7 @@ class LiveInventory(InventoryQueryMixin):
         if backpressure_wait_s is not None:
             maint_kwargs["backpressure_wait_s"] = backpressure_wait_s
         self.maintenance = MaintenanceConfig(**maint_kwargs)
-        # The three-lock hierarchy (outermost first); REP007 checks every
-        # acquisition — including through call chains — against it.
-        # repro: lock-order _maint_lock -> _write_lock -> _mem_lock
-        self._maint_lock = threading.RLock()
+        # Outermost first (module doc): never _write_lock under _mem_lock.
         self._write_lock = threading.RLock()
         self._mem_lock = threading.Lock()
         #: Ingest threads wait here when the valve is armed; every
@@ -245,8 +246,6 @@ class LiveInventory(InventoryQueryMixin):
         self._closing = False
         self._closed = False
         self._sealed: list[_Sealed] = []
-        self._last_flush_path: Path | None = None
-        self._last_compact_path: Path | None = None
         #: Backend → reference count: one ref for membership in the
         #: published view, one per in-flight pinned read.  A backend is
         #: closed only when its count drops to zero, so compaction can
@@ -255,7 +254,7 @@ class LiveInventory(InventoryQueryMixin):
         #: file handles, not just the object graph).
         self._refs: dict[SSTableInventory, int] = {}
 
-        manifest = self._load_manifest()
+        manifest = _read_manifest(self.directory)
         if manifest is None:
             if resolution is None:
                 raise ValueError(
@@ -336,23 +335,6 @@ class LiveInventory(InventoryQueryMixin):
 
     # -- manifest ------------------------------------------------------------------
 
-    def _load_manifest(self) -> dict[str, Any] | None:
-        path = self.directory / MANIFEST_NAME
-        if not path.exists():
-            return None
-        handle = fsio.open_file(path, "rb")
-        try:
-            raw = handle.read()
-        finally:
-            handle.close()
-        try:
-            manifest = json.loads(raw)
-        except ValueError as exc:
-            raise CorruptionError(f"unreadable manifest: {exc}", path=path) from exc
-        if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
-            raise CorruptionError("unsupported manifest version", path=path)
-        return manifest
-
     def _write_manifest(
         self,
         tables: list[str] | None = None,
@@ -423,8 +405,9 @@ class LiveInventory(InventoryQueryMixin):
                 self._seal_active_locked()
                 sealed = True
         if sealed:
-            # Outside _write_lock: in inline mode the job runs here, and
-            # jobs take _maint_lock before _write_lock (the fixed order).
+            # Outside _write_lock: in inline mode the job runs here, after
+            # waiting its turn behind another submitter's job — which
+            # takes _write_lock itself to retire WAL segments.
             self._scheduler.submit(JOB_FLUSH)
         return IngestAck(accepted=len(batch), durable=durable, flushed=sealed)
 
@@ -517,8 +500,9 @@ class LiveInventory(InventoryQueryMixin):
 
     def flush(self) -> Path | None:
         """Seal the active memtable and flush everything sealed, waiting
-        for the job to finish.  Returns the newest flushed table's path
-        (``None`` when there was nothing to flush)."""
+        for the job to finish.  Returns the newest committed table — the
+        tier cascade may already have merged the flushed one away —
+        or ``None`` when there was nothing to flush."""
         self._check_maintenance()
         with self._write_lock:
             self._check_open()
@@ -528,26 +512,20 @@ class LiveInventory(InventoryQueryMixin):
             pending = bool(self._sealed)
         if not pending:
             return None
-        with self._maint_lock:
-            self._last_flush_path = None
         self._scheduler.submit(JOB_FLUSH)
         self._scheduler.wait_idle()
-        with self._maint_lock:
-            return self._last_flush_path
+        paths = self.table_paths
+        return paths[-1] if paths else None
 
-    def compact(self) -> Path | None:
+    def compact(self) -> None:
         """Major compaction: merge the whole live table set into one
         generation, waiting for the job to finish.  Routine maintenance
         uses tier merges instead; this is the manual full merge."""
         self._check_maintenance()
         with self._write_lock:
             self._check_open()
-        with self._maint_lock:
-            self._last_compact_path = None
         self._scheduler.submit(JOB_MAJOR)
         self._scheduler.wait_idle()
-        with self._maint_lock:
-            return self._last_compact_path
 
     def wait_maintenance(self, timeout: float | None = None) -> None:
         """Block until every queued maintenance job has run; re-raise
@@ -560,7 +538,7 @@ class LiveInventory(InventoryQueryMixin):
         a typed corruption or injected crash stays typed)."""
         self._scheduler.check()
 
-    # -- maintenance jobs (scheduler-serialised: the only table writers) -----------
+    # -- maintenance jobs (one at a time: the only table writers) ------------------
 
     def _job_flush(self) -> None:
         """Flush the sealed memtables oldest first, one table each, and
@@ -602,141 +580,132 @@ class LiveInventory(InventoryQueryMixin):
     def _flush_oldest(self) -> bool:
         """Write the oldest sealed memtable to a new table and commit it.
         Returns whether a table was published."""
-        with self._maint_lock:
+        with self._mem_lock:
+            if not self._sealed:
+                return False
+            sealed = self._sealed[0]
+        with obs.span(SPAN_FLUSH) as sp:
+            # 1. Write the memtable to a new table (atomic: staged at
+            #    .tmp, renamed on close).
+            name = _TABLE_FMT.format(n=self._next_table)
+            path = self.directory / name
+            _write_memtable(path, sealed.memtable)
+            # 2. The commit point: the manifest now names the table and
+            #    raises the WAL floor past its sealed segments.  In-memory
+            #    state follows only once the commit landed, so a failed
+            #    commit leaves disk and object untouched.
+            tables = self._tables + [name]
+            self._write_manifest(
+                tables=tables,
+                wal_floor=sealed.boundary,
+                next_table=self._next_table + 1,
+            )
+            self._tables = tables
+            self._next_table += 1
+            self._wal_floor = sealed.boundary
+            # 3. Only now is it safe to retire the sealed segments.
+            self._retire_wal(sealed.boundary)
+            # 4. Swap the read view: the memtable leaves in the same
+            #    assignment its table arrives.
+            backend = SSTableInventory(
+                path,
+                resolution=self.resolution,
+                cache_blocks=self.cache_blocks,
+                counters=self.counters,
+            )
             with self._mem_lock:
-                if not self._sealed:
-                    return False
-                sealed = self._sealed[0]
-            with obs.span(SPAN_FLUSH) as sp:
-                # 1. Write the memtable to a new table (atomic: staged
-                #    at .tmp, renamed on close).
-                name = _TABLE_FMT.format(n=self._next_table)
-                path = self.directory / name
-                _write_memtable(path, sealed.memtable)
-                # 2. The commit point: the manifest now names the table
-                #    and raises the WAL floor past its sealed segments.
-                #    In-memory state follows only once the commit landed,
-                #    so a failed commit leaves disk and object untouched.
-                tables = self._tables + [name]
-                self._write_manifest(
-                    tables=tables,
-                    wal_floor=sealed.boundary,
-                    next_table=self._next_table + 1,
+                old = self._view
+                del self._sealed[0]
+                view = _View(
+                    tables=old.tables + (backend,),
+                    frozen=tuple(item.memtable for item in self._sealed),
                 )
-                self._tables = tables
-                self._next_table += 1
-                self._wal_floor = sealed.boundary
-                # 3. Only now is it safe to retire the sealed segments.
-                self._retire_wal(sealed.boundary)
-                # 4. Swap the read view: the memtable leaves in the same
-                #    assignment its table arrives.
-                backend = SSTableInventory(
-                    path,
-                    resolution=self.resolution,
-                    cache_blocks=self.cache_blocks,
-                    counters=self.counters,
-                )
-                with self._mem_lock:
-                    old = self._view
-                    del self._sealed[0]
-                    view = _View(
-                        tables=old.tables + (backend,),
-                        frozen=tuple(item.memtable for item in self._sealed),
-                    )
-                    self._retain_locked(view)
-                    self._view = view
-                self._release(old)
-                self.counters.increment(COUNTER_FLUSHES)
-                sp.set("records", sealed.memtable.records_applied)
-                sp.set("table", name)
-            self._last_flush_path = path
+                self._retain_locked(view)
+                self._view = view
+            self._release(old)
+            self.counters.increment(COUNTER_FLUSHES)
+            sp.set("records", sealed.memtable.records_applied)
+            sp.set("table", name)
         return True
 
     def _compact_tier(self) -> bool:
         """Merge one contiguous same-tier run chosen by the policy — one
         step of the flush job's cascade.  Returns whether a merge ran."""
-        with self._maint_lock:
-            names = list(self._tables)
-            sizes = self._table_sizes()
-            task = self.policy.choose(sizes)
-            if task is None:
-                return False
-            with obs.span(SPAN_TIER_COMPACT) as sp:
-                run = names[task.start : task.stop]
-                inputs = [self.directory / name for name in run]
-                out_name = _TABLE_FMT.format(n=self._next_table)
-                output = self.directory / out_name
-                merge_tables(inputs, output)
-                # Splice the output into the run's position: reads fold
-                # oldest-source-first, and collapsing *adjacent* sources
-                # is the only reorder associativity licences.
-                tables = names[: task.start] + [out_name] + names[task.stop :]
-                self._write_manifest(tables=tables, next_table=self._next_table + 1)
-                self._tables = tables
-                self._next_table += 1
-                backend = SSTableInventory(
-                    output,
-                    resolution=self.resolution,
-                    cache_blocks=self.cache_blocks,
-                    counters=self.counters,
+        names = self._tables
+        task = self.policy.choose(self._table_sizes())
+        if task is None:
+            return False
+        with obs.span(SPAN_TIER_COMPACT) as sp:
+            run = names[task.start : task.stop]
+            inputs = [self.directory / name for name in run]
+            out_name = _TABLE_FMT.format(n=self._next_table)
+            output = self.directory / out_name
+            merge_tables(inputs, output)
+            # Splice the output into the run's position: reads fold
+            # oldest-source-first, and collapsing *adjacent* sources is
+            # the only reorder associativity licences.
+            tables = names[: task.start] + [out_name] + names[task.stop :]
+            self._write_manifest(tables=tables, next_table=self._next_table + 1)
+            self._tables = tables
+            self._next_table += 1
+            backend = SSTableInventory(
+                output,
+                resolution=self.resolution,
+                cache_blocks=self.cache_blocks,
+                counters=self.counters,
+            )
+            with self._mem_lock:
+                old = self._view
+                view = _View(
+                    tables=old.tables[: task.start] + (backend,) + old.tables[task.stop :],
+                    frozen=old.frozen,
                 )
-                with self._mem_lock:
-                    old = self._view
-                    view = _View(
-                        tables=old.tables[: task.start]
-                        + (backend,)
-                        + old.tables[task.stop :],
-                        frozen=old.frozen,
-                    )
-                    self._retain_locked(view)
-                    self._view = view
-                self._release(old)
-                # Unlinking is safe even with readers pinned to the old
-                # generation: their open handles keep the bytes alive
-                # until the pin count drains and ``_release`` closes.
-                for stale_name in run:
-                    fsio.unlink(self.directory / stale_name)
-                    fsio.unlink(sstable.route_index_path(self.directory / stale_name))
-                self.counters.increment(COUNTER_COMPACTIONS)
-                sp.set("tier", task.tier)
-                sp.set("inputs", len(inputs))
-                sp.set("bytes", task.input_bytes)
+                self._retain_locked(view)
+                self._view = view
+            self._release(old)
+            # Unlinking is safe even with readers pinned to the old
+            # generation: their open handles keep the bytes alive until
+            # the pin count drains and ``_release`` closes.
+            for stale_name in run:
+                fsio.unlink(self.directory / stale_name)
+                fsio.unlink(sstable.route_index_path(self.directory / stale_name))
+            self.counters.increment(COUNTER_COMPACTIONS)
+            sp.set("tier", task.tier)
+            sp.set("inputs", len(inputs))
+            sp.set("bytes", task.input_bytes)
         return True
 
-    def _compact_major(self) -> bool:
+    def _compact_major(self) -> None:
         """Merge the whole table set into one generation — the manual
         major-compaction job body."""
-        with self._maint_lock:
-            if len(self._tables) < 2:
-                return False
-            with obs.span(SPAN_COMPACT) as sp:
-                inputs = [self.directory / name for name in self._tables]
-                name = _TABLE_FMT.format(n=self._next_table)
-                output = self.directory / name
-                merge_tables(inputs, output)
-                old_names = self._tables
-                self._write_manifest(tables=[name], next_table=self._next_table + 1)
-                self._tables = [name]
-                self._next_table += 1
-                backend = SSTableInventory(
-                    output,
-                    resolution=self.resolution,
-                    cache_blocks=self.cache_blocks,
-                    counters=self.counters,
-                )
-                with self._mem_lock:
-                    old = self._view
-                    view = _View(tables=(backend,), frozen=old.frozen)
-                    self._retain_locked(view)
-                    self._view = view
-                self._release(old)
-                for stale_name in old_names:
-                    fsio.unlink(self.directory / stale_name)
-                    fsio.unlink(sstable.route_index_path(self.directory / stale_name))
-                self.counters.increment(COUNTER_COMPACTIONS)
-                sp.set("inputs", len(inputs))
-            self._last_compact_path = output
-        return True
+        old_names = self._tables
+        if len(old_names) < 2:
+            return
+        with obs.span(SPAN_COMPACT) as sp:
+            inputs = [self.directory / name for name in old_names]
+            name = _TABLE_FMT.format(n=self._next_table)
+            output = self.directory / name
+            merge_tables(inputs, output)
+            self._write_manifest(tables=[name], next_table=self._next_table + 1)
+            self._tables = [name]
+            self._next_table += 1
+            backend = SSTableInventory(
+                output,
+                resolution=self.resolution,
+                cache_blocks=self.cache_blocks,
+                counters=self.counters,
+            )
+            with self._mem_lock:
+                old = self._view
+                view = _View(tables=(backend,), frozen=old.frozen)
+                self._retain_locked(view)
+                self._view = view
+            self._release(old)
+            for stale_name in old_names:
+                fsio.unlink(self.directory / stale_name)
+                fsio.unlink(sstable.route_index_path(self.directory / stale_name))
+            self.counters.increment(COUNTER_COMPACTIONS)
+            sp.set("inputs", len(inputs))
 
     # -- view lifecycle ------------------------------------------------------------
 
@@ -984,9 +953,19 @@ def manifest_tables(directory: str | Path) -> list[Path]:
     one raises :class:`~repro.inventory.sstable.CorruptionError`.
     """
     directory = Path(directory)
+    manifest = _read_manifest(directory)
+    if manifest is None:
+        return []
+    return [directory / str(name) for name in manifest.get("tables", [])]
+
+
+def _read_manifest(directory: Path) -> dict[str, Any] | None:
+    """A live directory's parsed manifest, ``None`` when it has none;
+    an unreadable or wrong-version one raises
+    :class:`~repro.inventory.sstable.CorruptionError`."""
     path = directory / MANIFEST_NAME
     if not path.exists():
-        return []
+        return None
     handle = fsio.open_file(path, "rb")
     try:
         raw = handle.read()
@@ -998,7 +977,7 @@ def manifest_tables(directory: str | Path) -> list[Path]:
         raise CorruptionError(f"unreadable manifest: {exc}", path=path) from exc
     if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
         raise CorruptionError("unsupported manifest version", path=path)
-    return [directory / str(name) for name in manifest.get("tables", [])]
+    return manifest
 
 
 def _config_to_manifest(config: SummaryConfig) -> dict[str, Any]:

@@ -9,11 +9,14 @@ manifests and merges tiers while new appends keep flowing.
 
 Contracts the test suite enforces:
 
-**Single mutator.**  Jobs are the only code that writes tables or
-rewrites the manifest after construction, and they are serialised — by
-the worker loop in ``background`` mode, by the submitting thread itself
-in ``inline`` mode (jobs run synchronously inside ``submit``, which is
-what the deterministic fault matrix uses).  Both modes execute the same
+**Single owner.**  Jobs are the only code that writes tables or
+rewrites the manifest after construction, so the state they change
+(the live inventory's table list, table counter and WAL floor) needs no
+lock of its own: the scheduler runs one job at a time.  In
+``background`` mode the one worker thread does that; in ``inline``
+mode jobs run synchronously inside ``submit`` (what the deterministic
+fault matrix uses) under a lock the scheduler holds for the job's whole
+run, so concurrent submitters take turns.  Both modes execute the same
 job functions, so the crash-anywhere property covers both.
 
 **Fail-stop.**  A job that raises freezes the scheduler: the queue is
@@ -133,7 +136,8 @@ class MaintenanceScheduler:
     newer state anyway); a kind currently *running* can be re-queued,
     so work submitted after the running job last looked is never
     missed.  In inline mode ``submit`` executes the job before
-    returning and errors propagate directly to the submitter.
+    returning, one submitter at a time, and errors propagate directly
+    to the submitter.
     """
 
     def __init__(
@@ -153,6 +157,8 @@ class MaintenanceScheduler:
         self._running: str | None = None
         self._error: BaseException | None = None
         self._closed = False
+        #: Held for the whole of an inline job: submitters take turns.
+        self._inline_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         if background:
             self._thread = threading.Thread(
@@ -193,26 +199,29 @@ class MaintenanceScheduler:
         """
         if kind not in self._jobs:
             raise ValueError(f"unknown maintenance job kind: {kind!r}")
-        with self._cond:
-            if self._closed or self._error is not None:
-                return
-            if self.background:
+        if self.background:
+            with self._cond:
+                if self._closed or self._error is not None:
+                    return
                 if kind not in self._pending:
                     self._pending.add(kind)
                     self._queue.append(kind)
                     self._cond.notify_all()
-                return
-        # Inline mode: the submitting thread is the worker.  Errors
+            return
+        # Inline mode: the submitting thread is the worker, one at a
+        # time.  The closed/failed check comes after the wait, so a
+        # submitter queued behind a job that failed is dropped.  Errors
         # propagate to the caller *and* fail-stop the scheduler, so both
         # modes converge on the same post-crash state.
-        try:
-            self._execute(kind)
-        except BaseException as exc:
+        with self._inline_lock:
             with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-            self.counters.increment(COUNTER_JOB_ERRORS)
-            raise
+                if self._closed or self._error is not None:
+                    return
+            try:
+                self._execute(kind)
+            except BaseException as exc:
+                self._fail(exc)
+                raise
 
     def wait_idle(self, timeout: float | None = None) -> None:
         """Block until no job is queued or running; re-raise a stored
@@ -237,7 +246,8 @@ class MaintenanceScheduler:
     def close(self, *, drain: bool = True) -> None:
         """Stop the worker.  ``drain=True`` finishes queued jobs first;
         ``drain=False`` cancels them (safe: the WAL covers anything an
-        unflushed job would have persisted).  Never raises a stored job
+        unflushed job would have persisted).  In inline mode, waits out
+        a job another submitter is running.  Never raises a stored job
         error — shutdown is cleanup."""
         with self._cond:
             if self._closed:
@@ -249,7 +259,10 @@ class MaintenanceScheduler:
                     self._pending.clear()
                 thread = self._thread
                 self._cond.notify_all()
-        if thread is not None and thread is not threading.current_thread():
+        if thread is None:
+            with self._inline_lock:
+                pass
+        elif thread is not threading.current_thread():
             thread.join()
 
     # -- execution -----------------------------------------------------------------
@@ -259,6 +272,16 @@ class MaintenanceScheduler:
             sp.set("kind", kind)
             self._jobs[kind]()
         self.counters.increment(COUNTER_JOBS)
+
+    def _fail(self, exc: BaseException) -> None:
+        """Fail-stop: record ``exc`` and drop every queued job."""
+        with self._cond:
+            self._error = exc
+            self._running = None
+            self._queue.clear()
+            self._pending.clear()
+            self._cond.notify_all()
+        self.counters.increment(COUNTER_JOB_ERRORS)
 
     def _worker(self) -> None:
         while True:
@@ -273,13 +296,7 @@ class MaintenanceScheduler:
             try:
                 self._execute(kind)
             except BaseException as exc:  # fail-stop; resurfaced via check()
-                with self._cond:
-                    self._error = exc
-                    self._running = None
-                    self._queue.clear()
-                    self._pending.clear()
-                    self._cond.notify_all()
-                self.counters.increment(COUNTER_JOB_ERRORS)
+                self._fail(exc)
                 return
             with self._cond:
                 self._running = None

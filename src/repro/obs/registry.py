@@ -85,7 +85,7 @@ _HEADER = """\
 # Metrics & span reference
 
 <!-- GENERATED FILE - do not edit by hand.
-     Regenerate with:  PYTHONPATH=src python -m repro.obs.registry > docs/METRICS.md
+     Regenerate with:  PYTHONPATH=src python -m repro.obs > docs/METRICS.md
      tests/test_docs_metrics_sync.py fails when this file drifts from the
      registry (repro.obs.registry) in either direction. -->
 
@@ -122,12 +122,3 @@ def main() -> int:
     """CLI entry point: print the generated reference to stdout."""
     print(generate_metrics_doc(), end="")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the docs test
-    # `python -m` runs this file as `__main__`, a *second* module object
-    # with its own empty tables; delegate to the canonical import that
-    # the instrumented modules registered into.
-    from repro.obs import registry as _canonical
-
-    raise SystemExit(_canonical.main())

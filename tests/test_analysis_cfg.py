@@ -1,10 +1,9 @@
-"""Corner cases of the CFG builder and the project call graph.
+"""Corner cases of the CFG builder.
 
-The interprocedural rules (REP007/REP008) are only as sound as these
-two layers, so the hard shapes are pinned directly: ``try/finally``
-with ``return`` in both arms, exception-suppressing ``with``,
-comprehension bodies, ``async def``, decorated methods, and recursive
-call chains (which must terminate with the conservative cyclic answer).
+The flow-aware rule (REP008) is only as sound as this layer, so the
+hard shapes are pinned directly: ``try/finally`` with ``return`` in both
+arms, exception-suppressing ``with``, loops, ``async def`` and
+unreachable code after ``raise``.
 """
 
 from __future__ import annotations
@@ -12,17 +11,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.analysis.callgraph import CallGraph, FuncRef
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.project import ImportMap, Project
-
-
-def make_tree(root, files: dict[str, str]):
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return root
+from repro.analysis.project import ImportMap
 
 
 def cfg_of(source: str, index: int = 0, imports: ImportMap | None = None) -> CFG:
@@ -241,167 +231,3 @@ def test_catch_all_handler_removes_the_propagation_path():
         cfg.nodes[i] for i in dispatch_nodes[0].succ
     ]
     assert all(head.label == "except" for head in handler_heads)
-
-
-# ---------------------------------------------------------------- call graph
-
-
-def project_of(tmp_path, files):
-    return Project.load(make_tree(tmp_path, files))
-
-
-def test_self_method_and_module_function_resolution(tmp_path):
-    project = project_of(
-        tmp_path,
-        {
-            "pkg/mod.py": """\
-                def helper():
-                    return 1
-
-
-                class Thing:
-                    def outer(self):
-                        self.inner()
-                        return helper()
-
-                    def inner(self):
-                        return 2
-            """,
-        },
-    )
-    graph = CallGraph.of(project)
-    outer = FuncRef(rel="pkg/mod.py", qualname="Thing.outer")
-    assert FuncRef(rel="pkg/mod.py", qualname="Thing.inner") in graph.direct(outer)
-    assert FuncRef(rel="pkg/mod.py", qualname="helper") in graph.direct(outer)
-
-
-def test_cross_module_resolution_through_imports(tmp_path):
-    # The package name the import map resolves against is the analysis
-    # root's directory name.
-    root = make_tree(
-        tmp_path / "pkg",
-        {
-            "util.py": """\
-                def shared():
-                    return 1
-
-
-                class Widget:
-                    def __init__(self):
-                        self.x = 1
-            """,
-            "app.py": """\
-                from pkg.util import shared
-                from pkg import util
-
-
-                def run():
-                    shared()
-                    util.shared()
-                    w = util.Widget()
-                    return w
-            """,
-        },
-    )
-    project = Project.load(root)
-    graph = CallGraph.of(project)
-    run = FuncRef(rel="app.py", qualname="run")
-    assert FuncRef(rel="util.py", qualname="shared") in graph.direct(run)
-    assert FuncRef(rel="util.py", qualname="Widget.__init__") in graph.direct(run)
-
-
-def test_recursion_terminates_with_cyclic_reachability(tmp_path):
-    project = project_of(
-        tmp_path,
-        {
-            "pkg/rec.py": """\
-                def ping():
-                    return pong()
-
-
-                def pong():
-                    return ping()
-
-
-                def solo():
-                    return solo()
-            """,
-        },
-    )
-    graph = CallGraph.of(project)
-    ping = FuncRef(rel="pkg/rec.py", qualname="ping")
-    pong = FuncRef(rel="pkg/rec.py", qualname="pong")
-    solo = FuncRef(rel="pkg/rec.py", qualname="solo")
-    assert graph.reachable(ping) == frozenset({ping, pong})
-    assert graph.reachable(solo) == frozenset({solo})
-
-
-def test_decorated_methods_stay_in_the_graph(tmp_path):
-    project = project_of(
-        tmp_path,
-        {
-            "pkg/deco.py": """\
-                import functools
-
-
-                class Api:
-                    @functools.lru_cache
-                    def cached(self):
-                        return self.raw()
-
-                    def raw(self):
-                        return 1
-
-                    def use(self):
-                        return self.cached()
-            """,
-        },
-    )
-    graph = CallGraph.of(project)
-    use = FuncRef(rel="pkg/deco.py", qualname="Api.use")
-    cached = FuncRef(rel="pkg/deco.py", qualname="Api.cached")
-    raw = FuncRef(rel="pkg/deco.py", qualname="Api.raw")
-    assert cached in graph.direct(use)
-    assert raw in graph.reachable(use)
-
-
-def test_calls_inside_comprehensions_resolve(tmp_path):
-    project = project_of(
-        tmp_path,
-        {
-            "pkg/comp.py": """\
-                def score(item):
-                    return item
-
-
-                def rank(items):
-                    return [score(i) for i in items if score(i) > 0]
-            """,
-        },
-    )
-    graph = CallGraph.of(project)
-    rank = FuncRef(rel="pkg/comp.py", qualname="rank")
-    assert FuncRef(rel="pkg/comp.py", qualname="score") in graph.direct(rank)
-
-
-def test_dynamic_calls_stay_unresolved(tmp_path):
-    project = project_of(
-        tmp_path,
-        {
-            "pkg/dyn.py": """\
-                class Box:
-                    def run(self, callback, other):
-                        callback()
-                        other.method()
-                        getattr(self, "x")()
-            """,
-        },
-    )
-    graph = CallGraph.of(project)
-    run = FuncRef(rel="pkg/dyn.py", qualname="Box.run")
-    assert graph.direct(run) == frozenset()
-
-
-def test_callgraph_is_cached_per_project(tmp_path):
-    project = project_of(tmp_path, {"pkg/a.py": "def f():\n    return 1\n"})
-    assert CallGraph.of(project) is CallGraph.of(project)

@@ -1,4 +1,4 @@
-"""Fixtures for the interprocedural rules (REP007–REP009), SARIF output
+"""Fixtures for the interprocedural rules (REP008–REP009), SARIF output
 and ``--changed`` selection.
 
 Same conventions as ``test_analysis_rules.py``: tiny on-disk trees,
@@ -18,7 +18,6 @@ from repro.analysis.changed import changed_files, filter_findings
 from repro.analysis.findings import Finding
 from repro.analysis.runner import analyze, lint
 from repro.analysis.rules.leaks import ResourceLeakRule
-from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.wire_errors import WireErrorSyncRule
 
 
@@ -39,208 +38,6 @@ def line_of(source: str, marker: str) -> int:
 
 def hits(findings: list[Finding], rule: str) -> list[tuple[str, int]]:
     return [(f.path, f.line) for f in findings if f.rule == rule]
-
-
-# ---------------------------------------------------------------- REP007
-
-
-ORDER_VIOLATION = """\
-    import threading
-
-
-    class Store:
-        # repro: lock-order _a_lock -> _b_lock
-        def __init__(self):
-            self._a_lock = threading.Lock()
-            self._b_lock = threading.Lock()
-
-        def bad(self):
-            with self._b_lock:
-                with self._a_lock:  # inverted-nesting
-                    return 1
-"""
-
-ORDER_COMPLIANT = """\
-    import threading
-
-
-    class Store:
-        # repro: lock-order _a_lock -> _b_lock
-        def __init__(self):
-            self._a_lock = threading.Lock()
-            self._b_lock = threading.Lock()
-
-        def good(self):
-            with self._a_lock:
-                with self._b_lock:
-                    return 1
-
-        def multi(self):
-            with self._a_lock, self._b_lock:
-                return 2
-"""
-
-ORDER_MULTI_ITEM_VIOLATION = """\
-    import threading
-
-
-    class Store:
-        # repro: lock-order _a_lock -> _b_lock
-        def __init__(self):
-            self._a_lock = threading.Lock()
-            self._b_lock = threading.Lock()
-
-        def bad(self):
-            with self._b_lock, self._a_lock:  # inverted-multi
-                return 1
-"""
-
-ORDER_INTERPROCEDURAL = """\
-    import threading
-
-
-    class Store:
-        # repro: lock-order _a_lock -> _b_lock
-        def __init__(self):
-            self._a_lock = threading.Lock()
-            self._b_lock = threading.Lock()
-
-        def outer(self):
-            with self._b_lock:
-                return self._helper()  # call-under-b
-
-        def _helper(self):
-            with self._a_lock:
-                return 1
-"""
-
-LOCK_CYCLE = """\
-    import threading
-
-
-    class Pair:
-        def __init__(self):
-            self._left_lock = threading.Lock()
-            self._right_lock = threading.Lock()
-
-        def forward(self):
-            with self._left_lock:
-                with self._right_lock:  # cycle-edge-one
-                    return 1
-
-        def backward(self):
-            with self._right_lock:
-                with self._left_lock:
-                    return 2
-"""
-
-ROTTED_DECLARATION = """\
-    import threading
-
-
-    class Store:
-        # repro: lock-order _a_lock -> _gone_lock
-        def __init__(self):
-            self._a_lock = threading.Lock()
-
-        def use(self):
-            with self._a_lock:
-                return 1
-"""
-
-
-def test_rep007_flags_inverted_nested_acquisition(tmp_path):
-    root = make_tree(tmp_path, {"pkg/store.py": ORDER_VIOLATION})
-    findings = analyze(root, [LockOrderRule])
-    assert hits(findings, "REP007") == [
-        ("pkg/store.py", line_of(ORDER_VIOLATION, "inverted-nesting")),
-    ]
-    (finding,) = findings
-    assert isinstance(finding.message, str)
-    assert "contradicts the declared lock-order _a_lock -> _b_lock" in finding.message
-
-
-def test_rep007_silent_on_compliant_twin(tmp_path):
-    root = make_tree(tmp_path, {"pkg/store.py": ORDER_COMPLIANT})
-    assert hits(analyze(root, [LockOrderRule]), "REP007") == []
-
-
-def test_rep007_multi_item_with_respects_item_order(tmp_path):
-    root = make_tree(tmp_path, {"pkg/store.py": ORDER_MULTI_ITEM_VIOLATION})
-    findings = analyze(root, [LockOrderRule])
-    assert hits(findings, "REP007") == [
-        ("pkg/store.py", line_of(ORDER_MULTI_ITEM_VIOLATION, "inverted-multi")),
-    ]
-
-
-def test_rep007_sees_through_calls(tmp_path):
-    root = make_tree(tmp_path, {"pkg/store.py": ORDER_INTERPROCEDURAL})
-    findings = analyze(root, [LockOrderRule])
-    assert hits(findings, "REP007") == [
-        ("pkg/store.py", line_of(ORDER_INTERPROCEDURAL, "call-under-b")),
-    ]
-
-
-def test_rep007_detects_cycles_without_a_declaration(tmp_path):
-    root = make_tree(tmp_path, {"pkg/pair.py": LOCK_CYCLE})
-    findings = [f for f in analyze(root, [LockOrderRule]) if f.rule == "REP007"]
-    assert len(findings) == 1
-    assert "cycle" in findings[0].message
-
-
-def test_rep007_flags_rotted_declarations(tmp_path):
-    root = make_tree(tmp_path, {"pkg/store.py": ROTTED_DECLARATION})
-    findings = [f for f in analyze(root, [LockOrderRule]) if f.rule == "REP007"]
-    assert len(findings) == 1
-    assert "_gone_lock" in findings[0].message
-
-
-def test_rep007_violation_fails_lint_and_twin_passes(tmp_path):
-    bad_root = make_tree(tmp_path / "bad", {"pkg/store.py": ORDER_VIOLATION})
-    good_root = make_tree(tmp_path / "good", {"pkg/store.py": ORDER_COMPLIANT})
-    out = io.StringIO()
-    assert (
-        lint(
-            root=bad_root,
-            baseline_path=tmp_path / "b.json",
-            rules_spec="REP007",
-            out=out,
-        )
-        == 1
-    )
-    assert (
-        lint(
-            root=good_root,
-            baseline_path=tmp_path / "b.json",
-            rules_spec="REP007",
-            out=out,
-        )
-        == 0
-    )
-
-
-def test_rep007_pragma_suppression(tmp_path):
-    source = ORDER_VIOLATION.replace(
-        "with self._a_lock:  # inverted-nesting",
-        "with self._a_lock:  # repro: allow[REP007] proven single-threaded here",
-    )
-    root = make_tree(tmp_path, {"pkg/store.py": source})
-    assert hits(analyze(root, [LockOrderRule]), "REP007") == []
-
-
-def test_malformed_lock_order_declaration_is_rep000(tmp_path):
-    source = """\
-        import threading
-
-
-        class Store:
-            # repro: lock-order _only_one_lock
-            def __init__(self):
-                self._only_one_lock = threading.Lock()
-    """
-    root = make_tree(tmp_path, {"pkg/store.py": source})
-    findings = analyze(root, [LockOrderRule])
-    assert [f.rule for f in findings] == ["REP000"]
 
 
 # ---------------------------------------------------------------- REP008

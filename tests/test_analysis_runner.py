@@ -337,5 +337,5 @@ def test_findings_are_sorted_and_deduplicated(tmp_path):
 
 def test_default_rule_ids_are_unique_and_titled():
     ids = [rule.id for rule in DEFAULT_RULES]
-    assert len(set(ids)) == len(ids) == 9
+    assert len(set(ids)) == len(ids) == 8
     assert all(rule.title for rule in DEFAULT_RULES)

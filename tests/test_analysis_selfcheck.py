@@ -58,43 +58,11 @@ def test_analyze_default_root_has_no_meta_findings():
     assert [f for f in findings if f.rule == "REP000"] == []
 
 
-def test_rep007_machine_checks_the_declared_live_inventory_order():
-    """The lock-order declaration in ``inventory/live.py`` is not prose.
-
-    REP007 must actually *observe* the three-lock hierarchy on the real
-    tree — every declared pair as a concrete acquisition edge, including
-    the ``_maint_lock → _write_lock`` edge that only exists through a
-    call chain — otherwise the declaration guards nothing.
-    """
-    from repro.analysis.project import Project
-    from repro.analysis.rules.lock_order import LockOrderRule
-
-    project = Project.load(default_root())
-    live = next(m for m in project.modules if m.rel == "inventory/live.py")
-    assert live.lock_orders, "live.py lost its lock-order declaration"
-    assert live.lock_orders[0].names == ("_maint_lock", "_write_lock", "_mem_lock")
-
-    graph = LockOrderRule().collect(project)
-    pairs = {
-        (edge.src.label(), edge.dst.label()) for edge in graph.edges
-    }
-    assert pairs >= {
-        ("LiveInventory._maint_lock", "LiveInventory._write_lock"),
-        ("LiveInventory._maint_lock", "LiveInventory._mem_lock"),
-        ("LiveInventory._write_lock", "LiveInventory._mem_lock"),
-    }
-    # The router's topology-swap locking is in view too.
-    acquired_labels = {
-        lock.label() for locks in graph.acquired.values() for lock in locks
-    }
-    assert "ShardedInventory._swap_lock" in acquired_labels
-
-
 def test_full_tree_analysis_fits_the_interactive_budget():
     """The parse-once caches keep a full run inside editor-loop latency.
 
     A generous wall-clock bound (the suite runs on shared CI workers),
-    but one that a regression to re-parsing every module per rule — nine
+    but one that a regression to re-parsing every module per rule — eight
     rules now walk every tree — would blow immediately.
     """
     import time

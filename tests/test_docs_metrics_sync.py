@@ -1,13 +1,16 @@
 """docs/METRICS.md must equal what the registry generates — exactly.
 
-The reference is generated (``python -m repro.obs.registry``), so any
-new counter/span registration, renamed metric or edited description
-must be accompanied by a regenerated file; this test fails on drift in
-either direction.
+The reference is generated (``python -m repro.obs``), so any new
+counter/span registration, renamed metric or edited description must be
+accompanied by a regenerated file; this test fails on drift in either
+direction.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.project import Project
@@ -15,15 +18,25 @@ from repro.analysis.rules.registry_sync import collect_declarations
 from repro.analysis.runner import default_root
 from repro.obs import registry
 
-DOC = Path(__file__).resolve().parents[1] / "docs" / "METRICS.md"
+REPO = Path(__file__).resolve().parents[1]
+DOC = REPO / "docs" / "METRICS.md"
 
 
 def test_metrics_doc_matches_registry_exactly():
-    generated = registry.generate_metrics_doc()
+    """The documented regeneration command, run as written under
+    ``-W error`` (a warning fails it), prints docs/METRICS.md exactly."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.obs"],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
     committed = DOC.read_text(encoding="utf-8")
-    assert generated == committed, (
+    assert result.stdout.decode("utf-8") == committed, (
         "docs/METRICS.md is out of date with the registry; regenerate it:\n"
-        "  PYTHONPATH=src python -m repro.obs.registry > docs/METRICS.md"
+        "  PYTHONPATH=src python -m repro.obs > docs/METRICS.md"
     )
 
 

@@ -28,6 +28,7 @@ from repro.inventory.live import LiveInventory, manifest_tables
 from repro.inventory.memtable import IngestRecord, Memtable
 from repro.inventory.wal import list_segments, verify_wal
 from repro.testing import Fault, FaultInjector, FaultPlan, SimulatedCrash, record_ops
+from tests.lock_witness import lock_order_witness
 
 RESOLUTION = 6
 #: Fault kinds whose ack can be trusted (the disk did what it said).
@@ -70,14 +71,17 @@ def _campaign(directory, batches, state, flush_after=None, background=False):
     fault plans sweep both modes.  A fault that fires inside a
     background job resurfaces — the same exception instance — from the
     ``flush()``/``wait_maintenance()``/``ingest()`` call that observes
-    it, which is exactly the never-silent contract under test.
+    it, which is exactly the never-silent contract under test.  The
+    lock-order witness watches the inventory throughout, so every crash
+    path is also checked for taking ``_write_lock`` under ``_mem_lock``.
     """
-    with LiveInventory(
+    inventory = LiveInventory(
         directory,
         resolution=RESOLUTION,
         tier_fanout=0,
         background_maintenance=background,
-    ) as inventory:
+    )
+    with lock_order_witness(inventory), inventory:
         for i, batch in enumerate(batches):
             state["attempted"] += len(batch)
             ack = inventory.ingest(batch)

@@ -14,6 +14,7 @@ The contracts under test:
   commits, WAL retirement, orphan sweeps and wire-record validation.
 """
 
+import json
 import threading
 from dataclasses import replace
 
@@ -22,8 +23,9 @@ import pytest
 from repro.hexgrid import latlng_to_cell
 from repro.inventory import GroupKey
 from repro.inventory.codec import encode
-from repro.inventory.live import LiveInventory, manifest_tables
+from repro.inventory.live import MANIFEST_NAME, LiveInventory, manifest_tables
 from repro.inventory.memtable import IngestRecord, Memtable
+from repro.inventory.sstable import CorruptionError
 from repro.inventory.wal import list_segments
 
 RESOLUTION = 6
@@ -129,16 +131,48 @@ class TestFreshAndReopen:
             assert stats["tables"] == 1
             assert _answers(inv) == before
 
+    @pytest.mark.parametrize("damage", ["garbage", "wrong-version"])
+    def test_damaged_manifest_is_typed_corruption(self, tmp_path, damage):
+        directory = tmp_path / "live"
+        with LiveInventory(directory, resolution=RESOLUTION) as inv:
+            inv.ingest(_records(5))
+            inv.flush()
+        path = directory / MANIFEST_NAME
+        if damage == "garbage":
+            path.write_bytes(b"\x00\xff not a manifest {")
+        else:
+            manifest = json.loads(path.read_bytes())
+            manifest["version"] += 1
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptionError):
+            LiveInventory(directory)
+        with pytest.raises(CorruptionError):
+            manifest_tables(directory)
+
 
 class TestFlush:
-    def test_flush_preserves_answers_byte_exact(self, tmp_path):
-        with LiveInventory(tmp_path / "live", resolution=RESOLUTION) as inv:
-            inv.ingest(_records(50))
-            before = _answers(inv)
-            path = inv.flush()
-            assert path is not None and path.exists()
-            assert _answers(inv) == before
-            assert inv.ingest_stats()["memtable_records"] == 0
+    # With tier_base_bytes=1 every flushed table joins a merge as soon as
+    # it has a same-tier neighbour, so the cascade can unlink the table
+    # the flush just wrote before flush() returns.
+    @pytest.mark.parametrize(
+        "rounds, kwargs",
+        [
+            (1, {}),
+            (3, dict(tier_fanout=2, tier_base_bytes=1, background_maintenance=False)),
+            (3, dict(tier_fanout=2, tier_base_bytes=1)),
+        ],
+        ids=["once", "tier-cascade-inline", "tier-cascade-background"],
+    )
+    def test_flush_preserves_answers_byte_exact(self, tmp_path, rounds, kwargs):
+        with LiveInventory(tmp_path / "live", resolution=RESOLUTION, **kwargs) as inv:
+            for n in range(rounds):
+                inv.ingest(_records(50, start=50 * n))
+                before = _answers(inv)
+                path = inv.flush()
+                assert path is not None and path.exists()
+                assert path in inv.table_paths
+                assert _answers(inv) == before
+                assert inv.ingest_stats()["memtable_records"] == 0
 
     def test_empty_flush_is_a_noop(self, tmp_path):
         with LiveInventory(tmp_path / "live", resolution=RESOLUTION) as inv:

@@ -45,6 +45,7 @@ from repro.inventory.maintenance import (
 )
 from repro.inventory.memtable import IngestRecord
 from repro.server import InventoryClient, InventoryService, ServerThread
+from tests.lock_witness import lock_order_witness
 
 RESOLUTION = 6
 LAT, LON = 1.25, 103.8  # every test record lands in this one cell
@@ -264,6 +265,99 @@ class TestMaintenanceScheduler:
             scheduler.wait_idle()
         scheduler.close()  # shutdown is cleanup, never a report channel
 
+    def test_inline_submitters_take_turns(self):
+        """Two threads submitting inline at once never run the job over
+        itself: the second waits out the first.  Jobs own the live table
+        set without a lock because of this."""
+        guard = threading.Lock()
+        running, overlaps = [0], []
+        first_inside, second_inside = threading.Event(), threading.Event()
+
+        def job():
+            with guard:
+                running[0] += 1
+                overlaps.append(running[0] > 1)
+                entry = len(overlaps)
+            if entry == 1:
+                first_inside.set()
+                # Stay inside until the other submitter gets in too, or
+                # long enough for it to have tried.
+                second_inside.wait(0.3)
+            else:
+                second_inside.set()
+            with guard:
+                running[0] -= 1
+
+        scheduler = MaintenanceScheduler({"j": job}, background=False)
+        threads = [threading.Thread(target=scheduler.submit, args=("j",)) for _ in range(2)]
+        threads[0].start()
+        assert first_inside.wait(5.0)
+        threads[1].start()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        scheduler.close()
+        assert overlaps == [False, False]
+
+    def test_inline_close_waits_out_a_running_job(self):
+        inside, release = threading.Event(), threading.Event()
+        finished: list[int] = []
+
+        def job():
+            inside.set()
+            release.wait(5.0)
+            finished.append(1)
+
+        scheduler = MaintenanceScheduler({"j": job}, background=False)
+        submitter = threading.Thread(target=scheduler.submit, args=("j",))
+        submitter.start()
+        assert inside.wait(5.0)
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        closer.join(0.1)
+        assert closer.is_alive(), "close returned while a job was running"
+        release.set()
+        for thread in (submitter, closer):
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert finished == [1]
+        scheduler.submit("j")  # closed: dropped, not run
+        assert finished == [1]
+
+    def test_inline_submitter_behind_a_failed_job_is_dropped(self):
+        boom = _Boom("inline")
+        release = threading.Event()
+        runs: list[int] = []
+
+        def job():
+            runs.append(1)
+            release.wait(5.0)
+            raise boom
+
+        scheduler = MaintenanceScheduler({"j": job}, background=False)
+        raised: list[BaseException] = []
+
+        def submit():
+            try:
+                scheduler.submit("j")
+            except _Boom as exc:
+                raised.append(exc)
+
+        first = threading.Thread(target=submit)
+        first.start()
+        _wait_until(lambda: runs)
+        second = threading.Thread(target=submit)
+        second.start()
+        release.set()
+        for thread in (first, second):
+            thread.join(5.0)
+            assert not thread.is_alive()
+        # The job ran once; only its submitter saw the error, and the
+        # second submitter's turn came after the fail-stop.
+        assert runs == [1] and raised == [boom]
+        assert scheduler.error is boom
+        scheduler.close()
+
     def test_background_error_is_stored_and_reraised(self):
         boom = _Boom("background")
 
@@ -382,7 +476,8 @@ class TestLiveBackgroundMaintenance:
         """Readers racing the writer and the maintenance thread see
         batch-atomic, monotonically growing answers, and the final
         state is byte-identical to an inline-mode run of the same
-        batches."""
+        batches.  The lock-order witness watches every lock site of the
+        live inventory throughout, close included."""
         total_batches, batch_size = 30, 20
         kwargs = dict(
             resolution=RESOLUTION, flush_records=40,
@@ -390,7 +485,8 @@ class TestLiveBackgroundMaintenance:
         )
         failures: list[BaseException] = []
         done = threading.Event()
-        with LiveInventory(tmp_path / "live", **kwargs) as inventory:
+        inventory = LiveInventory(tmp_path / "live", **kwargs)
+        with lock_order_witness(inventory), inventory:
             def writer():
                 try:
                     n = 0
@@ -398,6 +494,7 @@ class TestLiveBackgroundMaintenance:
                         inventory.ingest(
                             [_record(n + i) for i in range(batch_size)]
                         )
+                        inventory.sync()
                         n += batch_size
                 except BaseException as exc:  # surfaced by the assert below
                     failures.append(exc)
@@ -415,6 +512,8 @@ class TestLiveBackgroundMaintenance:
                         assert records >= last, "snapshot went backwards"
                         assert records % batch_size == 0, "partial batch seen"
                         last = records
+                        assert inventory.cells() == {KEY.cell}
+                        assert inventory.route_cells("A", "B", "cargo") == {}
                 except BaseException as exc:
                     failures.append(exc)
 
@@ -440,6 +539,13 @@ class TestLiveBackgroundMaintenance:
             live_items = {
                 key: summary.to_dict() for key, summary in inventory.items()
             }
+            assert inventory.flush() is None  # the watermark sealed it all
+            inventory.ingest([_record(total_batches * batch_size)])
+            assert inventory.flush() == inventory.table_paths[-1]
+            assert len(inventory.table_paths) >= 2
+            inventory.compact()
+            assert len(inventory.table_paths) == 1
+            assert inventory.get(KEY).records == total_batches * batch_size + 1
         with LiveInventory(
             tmp_path / "ref", background_maintenance=False, **kwargs
         ) as reference:
