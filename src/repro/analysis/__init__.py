@@ -10,6 +10,8 @@ REP003   span/counter names and ``obs/registry.py`` agree, both ways
 REP004   ``world``/``pipeline`` stay seeded and wall-clock-free
 REP005   ``CorruptionError``/``SSTableError`` are never swallowed
 REP006   ``async def`` server code never blocks the event loop
+REP008   resources must be released on every path, including exceptions
+REP009   wire error codes, raise sites and OPERATIONS triage stay in sync
 =======  ==============================================================
 
 Run it as ``repro lint`` or ``python -m repro.analysis``; the committed

@@ -29,7 +29,7 @@ class Finding:
     path: str
     #: 1-based source line the violation anchors to.
     line: int
-    #: Rule identifier (``REP001`` … ``REP006``, or ``REP000``).
+    #: Rule identifier (``REP001`` … ``REP009``, or ``REP000``).
     rule: str
     #: Human explanation: what is wrong and what the fix direction is.
     message: str

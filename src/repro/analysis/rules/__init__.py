@@ -1,4 +1,4 @@
-"""The invariant rules (REP001–REP006) and the :class:`Rule` interface."""
+"""The invariant rules (REP001–REP006, REP008, REP009) and the :class:`Rule` interface."""
 
 from repro.analysis.rules.async_blocking import AsyncBlockingRule
 from repro.analysis.rules.base import Rule

@@ -1,11 +1,15 @@
 """REP006 — no blocking calls on the server's event loop.
 
-The server's architecture note (PR 2) is explicit: the event loop owns
-sockets and nothing else; anything that blocks — file I/O, sleeps, sync
-clients — runs on the worker pool via ``run_in_executor``.  One stray
-``time.sleep`` or ``open()`` inside an ``async def`` stalls *every*
-connection, which is exactly the class of regression a reviewer is
-worst at spotting (the code still works, just not concurrently).
+The server's event loop owns the sockets, and besides them runs only
+bounded work: the request types the service lists in ``inline_types``
+(``ping``; point reads on a read-only table or an in-memory inventory),
+whose only I/O is at most one block read per lookup.  Anything that
+can block for long — sleeps, opening files, sync clients, subprocesses,
+writes, route scans, the router's fan-out — runs on the worker pool via
+``run_in_executor``.  One stray ``time.sleep`` or ``open()`` inside an
+``async def`` stalls *every* connection, which is exactly the class of
+regression hardest to spot by reading (the code still works, just not
+concurrently).
 
 Flagged inside ``async def`` bodies in ``server/`` modules:
 

@@ -9,8 +9,8 @@ to where the summaries live:
 
 - :class:`QueryableInventory` — the structural protocol every backend
   satisfies (point lookup, ``summary_at``, ``top_destinations_at``,
-  ``route_cells``, ``cells``, ``items``, and the codec-bytes forms
-  ``get_encoded`` / ``encoded_at`` the server answers with);
+  ``route_cells``, ``cells``, ``items``, and the codec-bytes form
+  ``get_encoded`` the server answers with);
 - :class:`InventoryQueryMixin` — the shared position-query logic,
   expressed purely in terms of ``get`` + ``resolution`` so both backends
   answer identically by construction;
@@ -93,17 +93,6 @@ class QueryableInventory(Protocol):
         """The summary for the cell containing a position."""
         ...
 
-    def encoded_at(
-        self,
-        lat: float,
-        lon: float,
-        vessel_type: str | None = None,
-        origin: str | None = None,
-        destination: str | None = None,
-    ) -> bytes | None:
-        """:meth:`summary_at` as the summary's codec bytes."""
-        ...
-
     def top_destinations_at(
         self, lat: float, lon: float, vessel_type: str | None = None, n: int = 5
     ) -> list[tuple[str, int]]:
@@ -160,37 +149,14 @@ class InventoryQueryMixin:
         Provide ``vessel_type`` for the per-market breakdown and both
         ``origin`` and ``destination`` for the per-route breakdown.
         """
-        return self.get(
-            self._position_key(lat, lon, vessel_type, origin, destination)
-        )
-
-    def encoded_at(
-        self,
-        lat: float,
-        lon: float,
-        vessel_type: str | None = None,
-        origin: str | None = None,
-        destination: str | None = None,
-    ) -> bytes | None:
-        """:meth:`summary_at` as codec bytes (see :meth:`get_encoded`)."""
-        return self.get_encoded(
-            self._position_key(lat, lon, vessel_type, origin, destination)
-        )
-
-    def _position_key(
-        self,
-        lat: float,
-        lon: float,
-        vessel_type: str | None,
-        origin: str | None,
-        destination: str | None,
-    ) -> GroupKey:
         check_breakdown(vessel_type, origin, destination)
-        return GroupKey(
-            cell=latlng_to_cell(lat, lon, self.resolution),
-            vessel_type=vessel_type,
-            origin=origin,
-            destination=destination,
+        return self.get(
+            GroupKey(
+                cell=latlng_to_cell(lat, lon, self.resolution),
+                vessel_type=vessel_type,
+                origin=origin,
+                destination=destination,
+            )
         )
 
     def top_destinations_at(

@@ -25,7 +25,9 @@ completed window, and staging tables are kept when a build dies.
 Re-running with ``resume=True`` verifies each surviving window table
 against its recorded checksum, reuses the verified ones (funnel counts
 and cell sets included) and rebuilds only what is missing or damaged —
-producing output byte-identical to an uninterrupted build.  On success
+producing output byte-identical to an uninterrupted build.  A one-window
+build that died after renaming its table onto the output, before the
+directory fsync, is finished by that fsync alone.  On success
 the staging tables and the manifest are removed.
 """
 
@@ -257,12 +259,16 @@ def _build_to_table(
     window_paths: list[Path] = []
     funnel: dict[str, int] = {}
     cells: set[int] = set()
+    published = windows == 1 and _published_window(manifest, output)
     completed = False
     try:
         for index, position_window in enumerate(_time_windows(positions, windows)):
             path = output.with_name(f"{output.name}.w{index}")
             with obs.span(SPAN_WINDOW, index=index) as window_span:
-                record = manifest.verified_window(index, path)
+                if published:
+                    record = manifest.windows[index]
+                else:
+                    record = manifest.verified_window(index, path)
                 window_span.set("reused", record is not None)
                 if record is None:
                     inventory, window_funnel = _build_window(
@@ -287,7 +293,10 @@ def _build_to_table(
         with obs.span(SPAN_COMPACT, tables=len(window_paths)):
             if windows == 1:
                 # Merging one table would rewrite it byte for byte.
-                _publish_table(window_paths[0], output)
+                if published:
+                    fsio.fsync_dir(output.parent)  # all the crash left undone
+                else:
+                    _publish_table(window_paths[0], output)
                 entries = manifest.windows[0].entries
             else:
                 entries = merge_tables(window_paths, output)
@@ -307,6 +316,20 @@ def _build_to_table(
         output=output,
         entries=entries,
     )
+
+
+def _published_window(manifest: build_manifests.BuildManifest, output: Path) -> bool:
+    """Whether a one-window build died after its publish rename but
+    before the directory fsync: the staged table is gone and ``output``
+    holds exactly the bytes the manifest recorded for window 0."""
+    record = manifest.windows.get(0)
+    staged = output.with_name(f"{output.name}.w0")
+    if record is None or record.table_name != staged.name or staged.exists():
+        return False
+    try:
+        return file_checksum(output) == record.table_crc
+    except OSError:
+        return False
 
 
 def _publish_table(staged: Path, output: Path) -> None:

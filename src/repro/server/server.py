@@ -1,22 +1,33 @@
-"""The concurrent query server: asyncio framing around a threaded core.
+"""The concurrent query server: asyncio framing around a dispatch core.
 
 Architecture — one event loop, one worker pool, one shared backend:
 
 - the **event loop** owns all sockets.  Per connection it reads frames
-  (under an idle timeout), writes responses, and nothing else — so a
-  thousand mostly-idle clients cost a thousand coroutines, not threads;
-- each request is answered on a **worker thread**
-  (``run_in_executor``), because a point lookup is blocking file I/O.
-  The pool is sized to ``max_concurrency``, matching the semaphore;
-- a **semaphore** bounds in-flight requests.  Excess requests queue *in
-  the loop*, cheaply, and their wait counts against the same deadline as
-  their execution — under overload clients get fast ``deadline_exceeded``
-  errors instead of unbounded queueing (backpressure, not buffering);
-- **per-request deadlines** (``asyncio.wait_for``) and **per-connection
-  read timeouts** keep one slow consumer or one stalled/malformed writer
-  from pinning resources: a frame that stops arriving hits the idle
-  timeout, an oversized frame is rejected from its length prefix, and
-  in both cases only *that* connection is dropped;
+  (under an idle timeout) and writes responses — so a thousand
+  mostly-idle clients cost a thousand coroutines, not threads;
+- the loop also **answers bounded point reads itself**: the request
+  types the service lists in ``inline_types`` (``ping`` always;
+  ``summary_at``, ``top_destinations_at``, ``eta`` and ``multi_get`` on
+  a read-only table or an in-memory inventory).  Their only I/O is at
+  most one block read per lookup on a cache miss, a page-cache read of
+  tens of µs — cheaper than the hop to a worker thread and back, a GIL
+  hand-off per request that buys nothing for work the GIL serialises
+  anyway.  Inline requests never wait on the semaphore (their queue
+  wait is recorded as 0);
+- every other request is answered on a **worker thread**
+  (``run_in_executor``): writes, the live and router backends, route
+  scans, track prediction, ``multi_query``, ``stats``, ``trace``.  The
+  pool is sized to ``max_concurrency``, matching the semaphore;
+- a **semaphore** bounds in-flight pool requests.  Excess requests queue
+  *in the loop*, cheaply, and their wait counts against the same
+  deadline as their execution — under overload clients get fast
+  ``deadline_exceeded`` errors instead of unbounded queueing
+  (backpressure, not buffering);
+- **per-request deadlines** and **per-connection read timeouts** (both
+  ``asyncio.timeout``) keep one slow consumer or one stalled/malformed
+  writer from pinning resources: a frame that stops arriving hits the
+  idle timeout, an oversized frame is rejected from its length prefix,
+  and in both cases only *that* connection is dropped;
 - **graceful drain**: shutdown stops accepting, lets every in-flight
   request finish and flush its response (up to ``drain_timeout_s``),
   then cancels idle readers.
@@ -52,11 +63,12 @@ SPAN_REQUEST = registry.register_span(
     "one request end-to-end on the server: semaphore queue wait + handler "
     "+ response assembly (attrs: type, queue_wait_ms, status code on error)",
 )
-#: Just the handler body, on a worker thread — subtract from
-#: ``server.request`` to see protocol/queueing overhead.
+#: Just the handler body — subtract from ``server.request`` to see
+#: protocol/queueing overhead.
 SPAN_HANDLE = registry.register_span(
     "server.handle",
-    "the handler body of one request, on a worker thread (attrs: type); "
+    "the handler body of one request, on the event loop for the service's "
+    "inline point reads and on a worker thread otherwise (attrs: type); "
     "server.request minus server.handle is queueing + framing overhead",
 )
 
@@ -116,6 +128,9 @@ class InventoryServer:
         self.service = service
         self.config = config or ServerConfig()
         self.metrics = ServerMetrics()
+        # A service that does not declare where its requests may run
+        # (a wrapper, say) gets the pool for everything.
+        self._inline: frozenset[str] = getattr(service, "inline_types", frozenset())
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._connections: set[_Connection] = set()
@@ -215,11 +230,11 @@ class InventoryServer:
     ) -> None:
         while not self._draining:
             try:
-                frame = await asyncio.wait_for(
-                    protocol.read_frame(reader, self.config.max_frame_bytes),
-                    self.config.idle_timeout_s,
-                )
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.config.idle_timeout_s):
+                    frame = await protocol.read_frame(
+                        reader, self.config.max_frame_bytes
+                    )
+            except TimeoutError:
                 break  # idle client: reclaim the connection
             except protocol.ProtocolError as exc:
                 # Framing is broken (oversized/truncated/non-JSON): the
@@ -261,10 +276,12 @@ class InventoryServer:
         started = time.perf_counter()
         with obs.span(SPAN_REQUEST, type=label) as sp:
             try:
-                result = await asyncio.wait_for(
-                    self._process(request, sp), self.config.request_timeout_s
-                )
-            except asyncio.TimeoutError:
+                if label in self._inline:
+                    result = self._handle_inline(request, label, sp)
+                else:
+                    async with asyncio.timeout(self.config.request_timeout_s):
+                        result = await self._process(request, label, sp)
+            except TimeoutError:
                 sp.set("code", protocol.ERR_DEADLINE)
                 self.metrics.record_error(label, protocol.ERR_DEADLINE)
                 return protocol.error_response(
@@ -303,6 +320,9 @@ class InventoryServer:
                     protocol.ERR_INTERNAL,
                     f"{type(exc).__name__}: {exc}",
                 )
+            if label == "stats":
+                result = dict(result)
+                result["server"] = self.metrics.snapshot()
             elapsed = time.perf_counter() - started
             self.metrics.record_request(label, elapsed)
             if label in protocol.MULTI_TYPES:
@@ -320,9 +340,17 @@ class InventoryServer:
                 )
             return protocol.ok_response(request_id, result)
 
-    async def _process(
-        self, request: dict, sp: obs.SpanLike = obs.NOOP_SPAN
+    def _handle_inline(
+        self, request: dict, label: str, sp: obs.SpanLike
     ) -> dict:
+        # Answered on the loop, never queued: nothing here awaits, so no
+        # deadline can fire and no other connection can interleave.
+        self.metrics.record_queue_wait(0.0)
+        sp.set("queue_wait_ms", 0.0)
+        with obs.span(SPAN_HANDLE, type=label):
+            return self.service.handle(request)
+
+    async def _process(self, request: dict, label: str, sp: obs.SpanLike) -> dict:
         # The semaphore wait happens inside the request deadline: a
         # request that cannot be *started* in time fails fast instead of
         # queueing forever — that is the backpressure contract.
@@ -331,30 +359,23 @@ class InventoryServer:
             waited = time.perf_counter() - queued
             self.metrics.record_queue_wait(waited)
             sp.set("queue_wait_ms", round(waited * 1e3, 3))
-            if obs.enabled():
-                # Worker threads do not inherit this task's contextvars:
-                # carry the request span's context across the executor
-                # boundary so handler-side spans (inventory.get,
-                # sstable.read_block) nest under this request.
-                rtype = request.get("type")
-                label = rtype if isinstance(rtype, str) else "?"
-                context = contextvars.copy_context()
-
-                def _handle_traced() -> dict:
-                    with obs.span(SPAN_HANDLE, type=label):
-                        return self.service.handle(request)
-
-                result = await self._loop.run_in_executor(
-                    self._executor, context.run, _handle_traced
-                )
-            else:
-                result = await self._loop.run_in_executor(
+            if not obs.enabled():
+                return await self._loop.run_in_executor(
                     self._executor, self.service.handle, request
                 )
-        if request.get("type") == "stats":
-            result = dict(result)
-            result["server"] = self.metrics.snapshot()
-        return result
+            # Worker threads do not inherit this task's contextvars:
+            # carry the request span's context across the executor
+            # boundary so handler-side spans (inventory.get,
+            # sstable.read_block) nest under this request.
+            context = contextvars.copy_context()
+
+            def _handle_traced() -> dict:
+                with obs.span(SPAN_HANDLE, type=label):
+                    return self.service.handle(request)
+
+            return await self._loop.run_in_executor(
+                self._executor, context.run, _handle_traced
+            )
 
     def exposition(self) -> str:
         """The ``/metrics`` payload: server counters/latency gauges plus

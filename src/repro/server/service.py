@@ -9,8 +9,14 @@ in-process callers use (:class:`~repro.apps.eta.EtaEstimator`,
 equal local answers because they run the same code against the same
 backend, not because two implementations happen to agree.
 
-Handlers run on the server's worker threads, many at a time, against one
-shared backend — the reason :class:`~repro.inventory.backend.BlockCache`,
+The service also decides, once, where each request type runs
+(:attr:`InventoryService.inline_types`).  ``ping`` and, on a read-only
+table or an in-memory inventory, the bounded point reads
+(:data:`POINT_READS`) are answered on the server's event loop: each costs
+a few lookups of at most one block read apiece, cheaper than a hop to a
+worker thread that the GIL would serialise anyway.  Everything else runs
+on the server's worker threads, many at a time, against one shared
+backend — the reason :class:`~repro.inventory.backend.BlockCache`,
 :class:`~repro.engine.metrics.CounterSet` and the table reader take
 locks.
 """
@@ -22,9 +28,16 @@ import math
 
 from repro.apps.destination import DestinationPredictor
 from repro.apps.eta import EtaEstimator
-from repro.inventory.backend import QueryableInventory, check_breakdown
+from repro.hexgrid import latlng_to_cell
+from repro.inventory.backend import (
+    QueryableInventory,
+    SSTableInventory,
+    check_breakdown,
+)
+from repro.inventory.keys import GroupKey
 from repro.inventory.maintenance import IngestBackpressure
 from repro.inventory.sstable import SSTableError
+from repro.inventory.store import Inventory
 from repro.obs import trace as obs
 from repro.obs.sinks import RingBufferSink
 from repro.server.protocol import (
@@ -38,6 +51,14 @@ from repro.server.protocol import (
     encoded_to_wire,
     summary_to_wire,
 )
+
+#: Bounded point reads: a few lookups each (``multi_get`` at most
+#: ``MAX_MULTI_ITEMS``), and a lookup reads at most one block.
+POINT_READS = frozenset({"summary_at", "top_destinations_at", "eta", "multi_get"})
+
+#: The parsed arguments of one position query: lat, lon, vessel type,
+#: origin, destination.
+_PointArgs = tuple[float, float, str | None, str | None, str | None]
 
 
 class InventoryService:
@@ -72,6 +93,15 @@ class InventoryService:
             "multi_query": self._multi_query,
             "ingest": self._ingest,
         }
+        # Which requests the server may answer on its event loop.  Only a
+        # read-only table or an in-memory inventory bounds a point read
+        # by one block read: a live read waits on the memtable lock that
+        # ingest holds and merges across every table, the router speaks
+        # blocking sockets, and ``route_cells`` may scan a whole table
+        # for a missing sidecar.
+        self.inline_types: frozenset[str] = frozenset({"ping"})
+        if isinstance(inventory, (SSTableInventory, Inventory)):
+            self.inline_types |= POINT_READS
 
     def handle(self, request: dict) -> dict:
         """Dispatch one request to its handler; returns the result payload.
@@ -159,20 +189,20 @@ class InventoryService:
         }
 
     def _summary_at(self, request: dict) -> dict:
-        return {"summary": _to_wire(self._encoded_at(request))}
+        return {"summary": _to_wire(self._encoded_at(_point_args(request)))}
 
-    def _encoded_at(self, request: dict) -> bytes | None:
-        """One point answer as the backend's codec bytes (the stored
-        value bytes on a table backend: no decode, no re-encode)."""
-        lat, lon = _position(request)
+    def _encoded_at(self, args: _PointArgs) -> bytes | None:
+        """One validated point answer as the backend's codec bytes (the
+        stored value bytes on a table backend: no decode, no re-encode)."""
+        lat, lon, vessel_type, origin, destination = args
+        key = GroupKey(
+            cell=latlng_to_cell(lat, lon, self.inventory.resolution),
+            vessel_type=vessel_type,
+            origin=origin,
+            destination=destination,
+        )
         try:
-            return self.inventory.encoded_at(
-                lat,
-                lon,
-                vessel_type=_string(request, "vessel_type"),
-                origin=_string(request, "origin"),
-                destination=_string(request, "destination"),
-            )
+            return self.inventory.get_encoded(key)
         except SSTableError:
             raise  # storage fault, not a bad request: keep it typed
         except ValueError as exc:
@@ -294,10 +324,9 @@ class InventoryService:
         # JSON escaping): each summary costs len(wire) + quotes + comma,
         # a miss costs `null` + comma.
         keys = self._fanout_items(request, "keys")
-        for index, key in enumerate(keys):
-            self._validate_multi_key(key, index)
+        parsed = [self._validate_multi_key(key, index) for index, key in enumerate(keys)]
         multi = getattr(self.inventory, "multi_encoded_at", None)
-        answers = multi(keys) if callable(multi) else map(self._encoded_at, keys)
+        answers = multi(keys) if callable(multi) else map(self._encoded_at, parsed)
         summaries: list[str | None] = []
         size = 0
         for index, raw in enumerate(answers):
@@ -307,21 +336,16 @@ class InventoryService:
             summaries.append(wire)
         return {"summaries": summaries}
 
-    def _validate_multi_key(self, key: object, index: int) -> None:
+    def _validate_multi_key(self, key: object, index: int) -> _PointArgs:
         """Everything a ``multi_get`` key can be rejected for, named by
-        its index: after this, a lookup raises only storage faults."""
+        its index; returns the parsed arguments the lookup uses."""
         if not isinstance(key, dict):
             raise BadRequestError(
                 f"keys[{index}] must be an object, got {type(key).__name__}"
             )
         try:
-            _position(key)
-            check_breakdown(
-                _string(key, "vessel_type"),
-                _string(key, "origin"),
-                _string(key, "destination"),
-            )
-        except (BadRequestError, ValueError) as exc:
+            return _point_args(key)
+        except BadRequestError as exc:
             raise BadRequestError(f"keys[{index}]: {exc}")
 
     def _multi_query(self, request: dict) -> dict:
@@ -368,6 +392,19 @@ def _to_wire(raw: bytes | None) -> str | None:
 
 
 # -- parameter validation --------------------------------------------------------
+
+
+def _point_args(request: dict) -> _PointArgs:
+    """A position query's arguments, breakdown pairing rules included."""
+    lat, lon = _position(request)
+    vessel_type = _string(request, "vessel_type")
+    origin = _string(request, "origin")
+    destination = _string(request, "destination")
+    try:
+        check_breakdown(vessel_type, origin, destination)
+    except ValueError as exc:
+        raise BadRequestError(str(exc))
+    return lat, lon, vessel_type, origin, destination
 
 
 def _position(request: dict) -> tuple[float, float]:

@@ -352,6 +352,45 @@ class TestKillAndResume:
         assert not manifest_path(out).exists()
         assert not list(tmp_path.glob("inv.sst.w*"))
 
+    def test_crash_before_publish_fsync_resumes_without_rebuilding(
+        self, world, one_window, tmp_path, monkeypatch
+    ):
+        # The table is already renamed onto the output: resume checks its
+        # bytes against the manifest and only redoes the directory fsync.
+        import repro.pipeline.run as run_mod
+        from repro import PipelineConfig, build_inventory
+        from repro.pipeline.manifest import manifest_path
+
+        ref_out, counts = one_window
+        out = tmp_path / "inv.sst"
+        plan = FaultPlan.single("fsync", counts["fsync"] - 1, "crash")
+        with FaultInjector(plan):
+            with pytest.raises(SimulatedCrash):
+                build_inventory(
+                    world.positions, world.fleet, world.ports,
+                    PipelineConfig(), output=out,
+                )
+        window_runs = []
+        original = run_mod._build_window
+
+        def counting(*args, **kwargs):
+            window_runs.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(run_mod, "_build_window", counting)
+        build_inventory(
+            world.positions, world.fleet, world.ports,
+            PipelineConfig(), output=out, resume=True,
+        )
+        assert window_runs == []
+        assert out.read_bytes() == ref_out.read_bytes()
+        assert (
+            route_index_path(out).read_bytes()
+            == route_index_path(ref_out).read_bytes()
+        )
+        assert not manifest_path(out).exists()
+        assert not list(tmp_path.glob("inv.sst.w*"))
+
     def test_resume_discards_manifest_from_different_inputs(
         self, world, reference, tmp_path, monkeypatch
     ):

@@ -896,3 +896,189 @@ class TestBindRetry:
             ServerConfig(bind_retries=-1)
         with pytest.raises(ValueError, match="bind retry"):
             ServerConfig(bind_retry_delay_s=-0.1)
+
+
+# -- inline dispatch of point reads ------------------------------------------------
+
+
+_LOOP_THREAD = "repro-server-loop"  # ServerThread's event-loop thread
+
+
+def _recording_threads(backend) -> list[str]:
+    """Wrap a backend's ``get_encoded`` to record which thread ran each
+    lookup; returns the (live) list of thread names."""
+    threads: list[str] = []
+    inner = backend.get_encoded
+
+    def recorded(key):
+        threads.append(threading.current_thread().name)
+        return inner(key)
+
+    backend.get_encoded = recorded
+    return threads
+
+
+class TestInlineDispatch:
+    """Bounded point reads on a read-only table or an in-memory inventory
+    run on the event loop; everything else keeps the worker pool."""
+
+    POINT_READS = {"summary_at", "top_destinations_at", "eta", "multi_get"}
+
+    @pytest.fixture()
+    def table(self, small_inventory, tmp_path):
+        path = tmp_path / "inventory.sst"
+        write_inventory(small_inventory, path)
+        return path
+
+    def test_inline_types_by_backend(self, table, tmp_path):
+        from repro.server.router import ShardedInventory
+        from repro.server.sharding import Placement, ShardSpec
+
+        with SSTableInventory(table) as backend:
+            assert InventoryService(backend).inline_types == {"ping"} | self.POINT_READS
+        assert InventoryService(_tiny_inventory()).inline_types == (
+            {"ping"} | self.POINT_READS
+        )
+        with LiveInventory(tmp_path / "live", resolution=6,
+                           background_maintenance=False) as live:
+            assert InventoryService(live).inline_types == {"ping"}
+        placement = Placement(
+            version=1, resolution=6, vnodes=8,
+            shards=(ShardSpec("a", "a.sst", 0),),
+        )
+        with ShardedInventory(placement, {"a": [("127.0.0.1", 9)]}) as sharded:
+            assert InventoryService(sharded).inline_types == {"ping"}
+
+    def test_point_reads_run_on_the_loop_thread(self, table, cell_probes):
+        with SSTableInventory(table, cache_blocks=8) as backend:
+            threads = _recording_threads(backend)
+            with ServerThread(InventoryService(backend)) as handle:
+                with InventoryClient(*handle.address) as client:
+                    lat, lon = cell_probes[0]
+                    client.summary_at(lat, lon)
+                    client.multi_get([{"lat": lat, "lon": lon}] * 3)
+                    client.multi_query([{"type": "summary_at", "lat": lat, "lon": lon}])
+        assert threads[:4] == [_LOOP_THREAD] * 4
+        assert threads[4] != _LOOP_THREAD  # multi_query keeps the pool
+
+    def test_slow_pool_request_does_not_delay_inline_reads(self, table,
+                                                           cell_probes):
+        with SSTableInventory(table, cache_blocks=8) as backend:
+            inner = backend.route_cells
+
+            def slow_route_cells(*args, **kwargs):
+                time.sleep(1.0)
+                return inner(*args, **kwargs)
+
+            backend.route_cells = slow_route_cells
+            # One worker: the slow request holds the whole pool.
+            config = ServerConfig(max_concurrency=1, request_timeout_s=5.0)
+            with ServerThread(InventoryService(backend), config) as handle:
+                slow_done = threading.Event()
+
+                def slow_caller():
+                    with InventoryClient(*handle.address) as slow_client:
+                        slow_client.route_cells("CNSHA", "NLRTM", "cargo")
+                    slow_done.set()
+
+                slow_thread = threading.Thread(target=slow_caller)
+                slow_thread.start()
+                time.sleep(0.1)  # the slow request now holds the worker
+                latencies = []
+                with InventoryClient(*handle.address) as fast_client:
+                    for lat, lon in cell_probes:
+                        started = time.perf_counter()
+                        fast_client.summary_at(lat, lon)
+                        fast_client.top_destinations_at(lat, lon)
+                        latencies.append(time.perf_counter() - started)
+                still_slow = not slow_done.is_set()
+                slow_thread.join(timeout=10)
+        assert slow_done.is_set()
+        assert still_slow, "the point reads finished only after the slow request"
+        assert max(latencies) < 0.5
+
+    def test_inline_corruption_is_typed_counted_and_survivable(self, tmp_path):
+        from repro.server.metrics import CORRUPTION_TOTAL
+
+        path = tmp_path / "inventory.sst"
+        inventory = _tiny_inventory()
+        write_inventory(inventory, path)
+        payload = bytearray(path.read_bytes())
+        for offset in range(40, 90):  # the first data block
+            payload[offset] ^= 0xFF
+        path.write_bytes(bytes(payload))
+        lat, lon = cell_to_latlng(next(key for key, _ in inventory.items()).cell)
+        with SSTableInventory(path, resolution=6, cache_blocks=8) as backend:
+            threads = _recording_threads(backend)
+            with ServerThread(InventoryService(backend)) as handle:
+                with InventoryClient(*handle.address) as client:
+                    for _ in range(2):
+                        with pytest.raises(ServerError) as exc_info:
+                            client.summary_at(lat, lon)
+                        assert exc_info.value.code == protocol.ERR_CORRUPTION
+                        assert client.ping() is True  # same connection lives
+                    counters = client.stats()["server"]["counters"]
+        assert threads == [_LOOP_THREAD] * 2
+        assert counters[CORRUPTION_TOTAL] == 2
+        assert counters[f"server.errors.{protocol.ERR_CORRUPTION}"] == 2
+
+    def test_inline_requests_are_counted_with_zero_queue_wait(self, table,
+                                                              cell_probes):
+        with SSTableInventory(table) as backend:
+            with ServerThread(InventoryService(backend)) as handle:
+                with InventoryClient(*handle.address) as client:
+                    for lat, lon in cell_probes:
+                        client.summary_at(lat, lon)
+                        client.eta(lat, lon)
+                        client.ping()
+                    server = client.stats()["server"]
+                snapshot = handle.server.metrics.snapshot()
+        inline = 3 * len(cell_probes)
+        assert server["counters"]["server.requests"] >= inline
+        # Every request, inline or pooled, records one queue wait.
+        requests = snapshot["counters"]["server.requests"]
+        assert requests == inline + 1  # + the stats request
+        assert snapshot["queue_wait_ms"]["count"] == requests
+        assert server["queue_wait_ms"]["p50_ms"] == 0.0
+
+    def test_max_multi_get_on_the_loop_stalls_ping_briefly(self, table,
+                                                           small_inventory):
+        """The largest inline request: 1 024 keys over every cell, against
+        a cache far smaller than the table, so most keys read a block."""
+        cells = sorted(small_inventory.cells())
+        keys = []
+        while len(keys) < protocol.MAX_MULTI_ITEMS:
+            for cell in cells[: protocol.MAX_MULTI_ITEMS - len(keys)]:
+                lat, lon = cell_to_latlng(cell)
+                keys.append({"lat": lat, "lon": lon})
+        frame_budget = 16 * protocol.MAX_FRAME_BYTES  # 1 024 summaries
+        config = ServerConfig(max_frame_bytes=frame_budget)
+        with SSTableInventory(table, cache_blocks=4) as backend:
+            service = InventoryService(backend, max_frame_bytes=frame_budget)
+            with ServerThread(service, config) as handle:
+                stop = threading.Event()
+                stalls: list[float] = []
+
+                def batches():
+                    with InventoryClient(*handle.address,
+                                         max_frame_bytes=frame_budget) as client:
+                        while not stop.is_set():
+                            # Undecoded: keeps this process's client-side
+                            # decoding out of the server's stall.
+                            answers = client.multi_get_encoded(keys)
+                            assert len(answers) == len(keys)
+
+                loader = threading.Thread(target=batches)
+                loader.start()
+                try:
+                    with InventoryClient(*handle.address) as client:
+                        deadline = time.perf_counter() + 1.5
+                        while time.perf_counter() < deadline:
+                            started = time.perf_counter()
+                            assert client.ping() is True
+                            stalls.append(time.perf_counter() - started)
+                finally:
+                    stop.set()
+                    loader.join(timeout=10)
+        assert stalls
+        assert max(stalls) < 0.5
