@@ -29,30 +29,22 @@ Subsystems (each documented in its own subpackage):
 - :mod:`repro.apps` — the use-case applications
 """
 
-from repro.world import WorldConfig, generate_dataset
-from repro.pipeline import PipelineConfig, build_inventory
-from repro.inventory import (
-    GroupKey,
-    GroupingSet,
-    Inventory,
-    QueryableInventory,
-    SSTableInventory,
-)
-from repro.engine import Engine, EngineConfig
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "WorldConfig",
-    "generate_dataset",
-    "PipelineConfig",
-    "build_inventory",
-    "Inventory",
-    "QueryableInventory",
-    "SSTableInventory",
-    "GroupKey",
-    "GroupingSet",
-    "Engine",
-    "EngineConfig",
-    "__version__",
-]
+# Resolved on first use (PEP 562): ``import repro.cli`` loads this package
+# and must not load the simulator or the pipeline with it.
+_EXPORTS = {
+    "repro.world.dataset": ("WorldConfig", "generate_dataset"),
+    "repro.pipeline.config": ("PipelineConfig",),
+    "repro.pipeline.run": ("build_inventory",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

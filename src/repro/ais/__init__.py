@@ -23,66 +23,39 @@ protocol layer a real ingestion system needs:
   the commercial-fleet predicate.
 """
 
-from repro.ais.messages import (
-    ClassBPositionReport,
-    NavigationStatus,
-    PositionReport,
-    StaticDataReportA,
-    StaticDataReportB,
-    StaticVoyageData,
-)
-from repro.ais.nmea import (
-    NmeaAssembler,
-    NmeaSentence,
-    checksum,
-    format_sentence,
-    parse_sentence,
-)
-from repro.ais.codec import decode_payload, encode_message, decode_sentences
-from repro.ais.csvio import read_csv, write_csv, CSV_COLUMNS
-from repro.ais.validation import (
-    is_valid_course,
-    is_valid_heading,
-    is_valid_latitude,
-    is_valid_longitude,
-    is_valid_mmsi,
-    is_valid_position_report,
-    is_valid_speed,
-    is_valid_status,
-)
-from repro.ais.vesseltypes import (
-    MarketSegment,
-    is_commercial_type,
-    segment_for_type,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "PositionReport",
-    "ClassBPositionReport",
-    "StaticVoyageData",
-    "StaticDataReportA",
-    "StaticDataReportB",
-    "NavigationStatus",
-    "NmeaSentence",
-    "NmeaAssembler",
-    "checksum",
-    "format_sentence",
-    "parse_sentence",
-    "encode_message",
-    "decode_payload",
-    "decode_sentences",
-    "read_csv",
-    "write_csv",
-    "CSV_COLUMNS",
-    "MarketSegment",
-    "segment_for_type",
-    "is_commercial_type",
-    "is_valid_latitude",
-    "is_valid_longitude",
-    "is_valid_speed",
-    "is_valid_course",
-    "is_valid_heading",
-    "is_valid_status",
-    "is_valid_mmsi",
-    "is_valid_position_report",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.ais.nmea": ("NmeaAssembler", "parse_sentence"),
+    "repro.ais.codec": (
+        "decode_payload",
+        "decode_sentences",
+        "encode_message",
+    ),
+    "repro.ais.csvio": ("CSV_COLUMNS", "read_csv", "write_csv"),
+    "repro.ais.validation": (
+        "is_valid_course",
+        "is_valid_heading",
+        "is_valid_latitude",
+        "is_valid_longitude",
+        "is_valid_mmsi",
+        "is_valid_position_report",
+        "is_valid_speed",
+        "is_valid_status",
+    ),
+    "repro.ais.vesseltypes": (
+        "MarketSegment",
+        "is_commercial_type",
+        "segment_for_type",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

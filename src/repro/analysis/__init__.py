@@ -18,27 +18,3 @@ Run it as ``repro lint`` or ``python -m repro.analysis``; the committed
 ``lint-baseline.json`` ratchet means counts can only ever go down.  Rule
 catalogue, pragma workflow and how to write a new rule: ``docs/ANALYSIS.md``.
 """
-
-from repro.analysis.findings import Finding
-from repro.analysis.project import ImportMap, Module, Project
-from repro.analysis.runner import (
-    DEFAULT_RULES,
-    analyze,
-    lint,
-    main,
-    rule_titles,
-)
-from repro.analysis.rules.base import Rule
-
-__all__ = [
-    "Finding",
-    "Module",
-    "Project",
-    "ImportMap",
-    "Rule",
-    "DEFAULT_RULES",
-    "analyze",
-    "lint",
-    "main",
-    "rule_titles",
-]

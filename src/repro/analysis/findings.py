@@ -25,7 +25,7 @@ class Finding:
     """
 
     #: Path of the offending module, POSIX-style, relative to the
-    #: analysis root (e.g. ``inventory/export.py``).
+    #: analysis root (e.g. ``inventory/wal.py``).
     path: str
     #: 1-based source line the violation anchors to.
     line: int

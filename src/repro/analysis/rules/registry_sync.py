@@ -114,14 +114,6 @@ def collect_declarations(project: Project) -> list[Declaration]:
     return declarations
 
 
-def declared_names(project: Project) -> tuple[set[str], set[str]]:
-    """(literal names, dynamic family heads) declared across the project."""
-    literals, prefixes = set(), set()
-    for declaration in collect_declarations(project):
-        (prefixes if declaration.dynamic else literals).add(declaration.name)
-    return literals, prefixes
-
-
 def _collect_usages(project: Project) -> list[Usage]:
     usages: list[Usage] = []
     for module in project.modules:

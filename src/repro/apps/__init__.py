@@ -12,34 +12,29 @@
   introduction motivates (off-lane positions, abnormal speed/course).
 """
 
-from repro.apps.render import (
-    RasterGrid,
-    ascii_map,
-    raster_from_inventory,
-    write_pgm,
-    write_ppm,
-    COLORMAPS,
-)
-from repro.apps.eta import EtaEstimate, EtaEstimator, great_circle_baseline_s
-from repro.apps.destination import DestinationPredictor, PredictionState
-from repro.apps.routing import RouteForecaster, TransitionGraph, astar
-from repro.apps.anomaly import AnomalyDetector, AnomalyScore
+import importlib
+from typing import Any
 
-__all__ = [
-    "RasterGrid",
-    "raster_from_inventory",
-    "ascii_map",
-    "write_ppm",
-    "write_pgm",
-    "COLORMAPS",
-    "EtaEstimator",
-    "EtaEstimate",
-    "great_circle_baseline_s",
-    "DestinationPredictor",
-    "PredictionState",
-    "TransitionGraph",
-    "RouteForecaster",
-    "astar",
-    "AnomalyDetector",
-    "AnomalyScore",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.apps.render": (
+        "COLORMAPS",
+        "RasterGrid",
+        "ascii_map",
+        "raster_from_inventory",
+        "write_pgm",
+        "write_ppm",
+    ),
+    "repro.apps.eta": ("EtaEstimator", "great_circle_baseline_s"),
+    "repro.apps.destination": ("DestinationPredictor",),
+    "repro.apps.routing": ("RouteForecaster", "TransitionGraph", "astar"),
+    "repro.apps.anomaly": ("AnomalyDetector",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -44,6 +44,10 @@ renders the recorded file as a per-stage profile table;
 ``serve --trace`` does the same for requests, ``serve --trace-ring``
 keeps the last N spans queryable live via the ``trace`` request, and
 ``serve --metrics-port`` exposes Prometheus-style ``GET /metrics``.
+
+Each handler imports what its subcommand runs; at module level this file
+imports only what argument parsing needs, so ``repro lint`` never loads
+the pipeline and ``repro build`` never loads the server.
 """
 
 from __future__ import annotations
@@ -52,21 +56,11 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro import PipelineConfig, WorldConfig, build_inventory, generate_dataset
-from repro.ais import read_csv, write_csv
-from repro.ais.vesseltypes import MarketSegment
-from repro.apps import raster_from_inventory, write_ppm
-from repro.geo.polygon import BoundingBox
-from repro.inventory import (
-    SSTableInventory,
-    merge_tables,
-    open_inventory,
-    salvage_table,
-    verify_table,
-)
-from repro.world.fleet import Vessel
-from repro.world.ports import PORTS
+if TYPE_CHECKING:
+    from repro.inventory.backend import SSTableInventory
+    from repro.world.fleet import Vessel
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,6 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from repro.ais.csvio import write_csv
+    from repro.world.dataset import WorldConfig, generate_dataset
+
     data = generate_dataset(
         WorldConfig(
             seed=args.seed,
@@ -365,14 +362,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from repro.ais.csvio import read_csv
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.run import build_inventory
+    from repro.world.ports import PORTS
+
     fleet_path = args.fleet or _fleet_sidecar(args.archive)
     fleet = _read_fleet(fleet_path)
     positions = list(read_csv(args.archive))
     print(f"loaded {len(positions):,} reports and {len(fleet)} vessels")
     trace_sink = None
     if args.trace is not None:
-        from repro.obs import JsonlSink
         from repro.obs import trace as obs
+        from repro.obs.sinks import JsonlSink
 
         trace_sink = JsonlSink(args.trace)
         obs.configure(trace_sink)
@@ -412,6 +414,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_compact(args) -> int:
+    from repro.inventory.compaction import merge_tables
+
     entries = merge_tables(args.inputs, args.out, block_size=args.block_size)
     print(
         f"compacted {len(args.inputs)} tables "
@@ -422,6 +426,8 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from repro.inventory.backend import SSTableInventory
+
     with SSTableInventory(
         args.inventory, resolution=args.resolution
     ) as inventory:
@@ -458,7 +464,7 @@ def _print_summary(inventory: SSTableInventory, args) -> int:
 def _serve_config(args):
     """The server limits for 'serve' (split out so tests can pin the
     arg-to-config plumbing without binding a socket)."""
-    from repro.server import ServerConfig
+    from repro.server.server import ServerConfig
 
     slow_ms = getattr(args, "slow_request_ms", None)
     return ServerConfig(
@@ -473,7 +479,7 @@ def _serve_config(args):
 
 def _serve_sinks(args) -> list:
     """The trace sinks 'serve' installs (JSONL file and/or live ring)."""
-    from repro.obs import JsonlSink, RingBufferSink
+    from repro.obs.sinks import JsonlSink, RingBufferSink
 
     sinks: list = []
     if getattr(args, "trace", None) is not None:
@@ -510,6 +516,8 @@ def _serve_backend(args):
             cache_blocks=args.cache_blocks,
             **kwargs,
         )
+    from repro.inventory.backend import SSTableInventory
+
     return SSTableInventory(
         args.inventory, resolution=args.resolution, cache_blocks=args.cache_blocks
     )
@@ -519,7 +527,8 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.obs import trace as obs
-    from repro.server import InventoryService, serve
+    from repro.server.server import serve
+    from repro.server.service import InventoryService
 
     config = _serve_config(args)
     sinks = _serve_sinks(args)
@@ -719,7 +728,9 @@ def _route_addresses(args) -> dict[str, list[tuple[str, int]]]:
 def _cmd_route(args) -> int:
     import asyncio
 
-    from repro.server import InventoryService, ShardedInventory, serve
+    from repro.server.router import ShardedInventory
+    from repro.server.server import serve
+    from repro.server.service import InventoryService
     from repro.server.sharding import load_placement
 
     placement = load_placement(args.placement)
@@ -762,7 +773,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import profile_records, read_trace, render_profile
+    from repro.obs.sinks import profile_records, read_trace, render_profile
 
     rows = profile_records(read_trace(args.trace))
     if not rows:
@@ -774,6 +785,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from repro.apps.render import raster_from_inventory, write_ppm
+    from repro.geo.polygon import BoundingBox
+    from repro.inventory.backend import SSTableInventory
+
     lat_min, lat_max, lon_min, lon_max = (
         float(part) for part in args.bbox.split(",")
     )
@@ -799,10 +814,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from repro.inventory.keys import GroupingSet
+    from repro.inventory.sstable import open_inventory
+
     with open_inventory(args.inventory) as reader:
         print(f"entries: {reader.entry_count:,} in {reader.block_count} blocks")
-        from repro.inventory.keys import GroupingSet
-
         counts = {grouping_set: 0 for grouping_set in GroupingSet}
         records = 0
         for key, summary in reader.scan():
@@ -816,6 +832,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
+    from repro.inventory.sstable import salvage_table, verify_table
+
     if args.inventory is None and args.wal is None:
         raise ValueError("fsck needs --inventory and/or --wal")
     exit_code = 0
@@ -858,6 +876,7 @@ def _fsck_wal(directory: Path) -> int:
     Corruption dominates orphans in the exit code.
     """
     from repro.inventory.live import manifest_tables
+    from repro.inventory.sstable import verify_table
     from repro.inventory.wal import verify_wal
 
     check = verify_wal(directory)
@@ -910,6 +929,9 @@ def _fleet_sidecar(archive: Path) -> Path:
 
 
 def _read_fleet(path: Path) -> list[Vessel]:
+    from repro.ais.vesseltypes import MarketSegment
+    from repro.world.fleet import Vessel
+
     fleet = []
     with open(path, newline="") as handle:
         for row in csv.DictReader(handle):

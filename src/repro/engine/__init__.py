@@ -27,20 +27,20 @@ single host has nothing to recover from), no SQL/catalyst layer, no
 broadcast variables (closures capture small tables directly).
 """
 
-from repro.engine.context import Engine, EngineConfig
-from repro.engine.dataset import Dataset
-from repro.engine.hashing import stable_hash
-from repro.engine.metrics import CounterSet, MetricsRecorder, StageMetric
-from repro.engine.partitioner import HashPartitioner, RangePartitioner
+import importlib
+from typing import Any
 
-__all__ = [
-    "Engine",
-    "EngineConfig",
-    "Dataset",
-    "HashPartitioner",
-    "RangePartitioner",
-    "stable_hash",
-    "MetricsRecorder",
-    "CounterSet",
-    "StageMetric",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.engine.context": ("Engine", "EngineConfig"),
+    "repro.engine.hashing": ("stable_hash",),
+    "repro.engine.partitioner": ("HashPartitioner", "RangePartitioner"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

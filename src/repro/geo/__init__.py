@@ -9,66 +9,40 @@ dwarfs the ellipsoidal correction):
   destination points and cross-track errors.
 - :mod:`repro.geo.greatcircle` — great-circle interpolation and sampling,
   used by the voyage simulator to lay tracks between waypoints.
-- :mod:`repro.geo.rhumb` — rhumb-line (constant-bearing) navigation, the
-  other steering mode real vessels use on short legs.
 - :mod:`repro.geo.circular` — statistics on angular quantities (course,
   heading), where the arithmetic mean of 359° and 1° must be 0°, not 180°.
 - :mod:`repro.geo.polygon` — point-in-polygon and bounding-box tests used
   by the port geofencing stage.
 """
 
-from repro.geo.constants import (
-    EARTH_RADIUS_M,
-    EARTH_AREA_KM2,
-    KNOT_MS,
-    NAUTICAL_MILE_M,
-)
-from repro.geo.distance import (
-    haversine_m,
-    haversine_nm,
-    initial_bearing_deg,
-    destination_point,
-    cross_track_distance_m,
-    speed_between_knots,
-)
-from repro.geo.greatcircle import (
-    interpolate,
-    sample_track,
-    track_length_m,
-)
-from repro.geo.rhumb import rhumb_distance_m, rhumb_bearing_deg, rhumb_destination
-from repro.geo.circular import (
-    angular_difference_deg,
-    circular_mean_deg,
-    circular_resultant,
-    circular_std_deg,
-    normalize_deg,
-)
-from repro.geo.polygon import BoundingBox, point_in_polygon, polygon_bbox
+import importlib
+from typing import Any
 
-__all__ = [
-    "EARTH_RADIUS_M",
-    "EARTH_AREA_KM2",
-    "KNOT_MS",
-    "NAUTICAL_MILE_M",
-    "haversine_m",
-    "haversine_nm",
-    "initial_bearing_deg",
-    "destination_point",
-    "cross_track_distance_m",
-    "speed_between_knots",
-    "interpolate",
-    "sample_track",
-    "track_length_m",
-    "rhumb_distance_m",
-    "rhumb_bearing_deg",
-    "rhumb_destination",
-    "angular_difference_deg",
-    "circular_mean_deg",
-    "circular_resultant",
-    "circular_std_deg",
-    "normalize_deg",
-    "BoundingBox",
-    "point_in_polygon",
-    "polygon_bbox",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.geo.constants": ("EARTH_RADIUS_M",),
+    "repro.geo.distance": (
+        "cross_track_distance_m",
+        "destination_point",
+        "haversine_m",
+        "haversine_nm",
+        "initial_bearing_deg",
+        "speed_between_knots",
+    ),
+    "repro.geo.greatcircle": ("interpolate", "sample_track", "track_length_m"),
+    "repro.geo.circular": (
+        "angular_difference_deg",
+        "circular_mean_deg",
+        "circular_std_deg",
+        "normalize_deg",
+    ),
+    "repro.geo.polygon": ("BoundingBox", "point_in_polygon", "polygon_bbox"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.geo.constants import EARTH_RADIUS_M
 from repro.geo.distance import haversine_m
 
 
@@ -95,8 +94,3 @@ def track_length_m(waypoints: Sequence[tuple[float, float]]) -> float:
     for (lat1, lon1), (lat2, lon2) in zip(waypoints, waypoints[1:]):
         total += haversine_m(lat1, lon1, lat2, lon2)
     return total
-
-
-def angular_distance_rad(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Central angle between two points in radians."""
-    return haversine_m(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M

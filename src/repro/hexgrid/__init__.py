@@ -24,8 +24,9 @@ Cell ids are 64-bit integers packing (resolution, axial q, axial r); use
 :func:`cell_to_string` for the canonical 15-hex-digit text form.
 """
 
+# Eager: every importer of the grid maps positions to cells, so ``grid``
+# (which loads the rest of the package) is loaded anyway.
 from repro.hexgrid.cellid import (
-    CellId,
     MAX_RESOLUTION,
     cell_to_string,
     get_resolution,
@@ -52,10 +53,8 @@ from repro.hexgrid.grid import (
     grid_ring,
     latlng_to_cell,
 )
-from repro.hexgrid.regions import bbox_cells, polyfill
 
 __all__ = [
-    "CellId",
     "MAX_RESOLUTION",
     "pack_cell",
     "unpack_cell",
@@ -77,6 +76,4 @@ __all__ = [
     "grid_distance",
     "grid_path_cells",
     "are_neighbor_cells",
-    "bbox_cells",
-    "polyfill",
 ]

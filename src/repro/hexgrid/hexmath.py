@@ -15,7 +15,6 @@ Conventions (Red Blob Games axial system, pointy-top):
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 #: The six axial direction vectors, counter-clockwise starting east.
 AXIAL_DIRECTIONS: tuple[tuple[int, int], ...] = (
@@ -142,14 +141,6 @@ def hex_corners(q: int, r: int, size: float) -> list[tuple[float, float]]:
         angle = math.radians(60.0 * i - 30.0)
         corners.append((cx + size * math.cos(angle), cy + size * math.sin(angle)))
     return corners
-
-
-def hex_spiral(q: int, r: int) -> Iterator[tuple[int, int]]:
-    """Infinite generator spiralling outward from a cell, ring by ring."""
-    k = 0
-    while True:
-        yield from hex_ring(q, r, k)
-        k += 1
 
 
 def point_in_hex(px: float, py: float, q: int, r: int, size: float) -> bool:

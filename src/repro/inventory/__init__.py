@@ -19,6 +19,9 @@ statistical sketches).  This package provides:
 - :mod:`repro.inventory.sstable` — the on-disk format: sorted key blocks
   with a sparse index, giving point lookups without scanning, which is
   what the paper's "99.7 % fewer hits" claim is about.
+- :mod:`repro.inventory.compaction` — the k-way table merge behind
+  ``repro compact`` and windowed builds, and the size-tiered policy the
+  live path compacts with.
 - :mod:`repro.inventory.wal`, :mod:`repro.inventory.memtable`,
   :mod:`repro.inventory.live` — the live write path: a checksummed
   write-ahead log, the in-memory memtable it protects, and the
@@ -26,75 +29,38 @@ statistical sketches).  This package provides:
   queries while absorbing a feed.
 """
 
-from repro.inventory.keys import GroupKey, GroupingSet, keys_for_record
-from repro.inventory.summary import CellSummary, SummaryConfig
-from repro.inventory.backend import (
-    BlockCache,
-    QueryableInventory,
-    SSTableInventory,
-    open_backend,
-)
-from repro.inventory.store import Inventory
-from repro.inventory.sstable import (
-    FORMAT_VERSION,
-    CorruptionError,
-    SSTableError,
-    SSTableWriter,
-    SSTableReader,
-    write_inventory,
-    open_inventory,
-    verify_table,
-    salvage_table,
-)
-from repro.inventory.adaptive import AdaptiveInventory, build_adaptive
-from repro.inventory.compaction import CompactionPolicy, CompactionTask, merge_tables
-from repro.inventory.export import inventory_to_geojson, write_geojson
-from repro.inventory.maintenance import (
-    IngestBackpressure,
-    MaintenanceConfig,
-    MaintenanceScheduler,
-)
-from repro.inventory.memtable import IngestRecord, Memtable
-from repro.inventory.wal import ReplayResult, WalCheck, WalWriter, replay, verify_wal
-from repro.inventory.live import IngestAck, LiveInventory
+import importlib
+from typing import Any
 
-__all__ = [
-    "GroupKey",
-    "GroupingSet",
-    "keys_for_record",
-    "CellSummary",
-    "SummaryConfig",
-    "QueryableInventory",
-    "BlockCache",
-    "SSTableInventory",
-    "open_backend",
-    "Inventory",
-    "FORMAT_VERSION",
-    "CorruptionError",
-    "SSTableError",
-    "SSTableWriter",
-    "SSTableReader",
-    "write_inventory",
-    "open_inventory",
-    "verify_table",
-    "salvage_table",
-    "AdaptiveInventory",
-    "build_adaptive",
-    "merge_tables",
-    "CompactionPolicy",
-    "CompactionTask",
-    "IngestBackpressure",
-    "MaintenanceConfig",
-    "MaintenanceScheduler",
-    "inventory_to_geojson",
-    "write_geojson",
-    "IngestRecord",
-    "Memtable",
-    "ReplayResult",
-    "WalCheck",
-    "WalWriter",
-    "replay",
-    "verify_wal",
-    "IngestAck",
-    "LiveInventory",
-]
+# Resolved on first use (PEP 562), so a process that only reads tables does
+# not load the live write path (WAL, memtable, maintenance) with them.
+_EXPORTS = {
+    "repro.inventory.keys": ("GroupKey", "GroupingSet"),
+    "repro.inventory.backend": (
+        "BlockCache",
+        "QueryableInventory",
+        "SSTableInventory",
+        "open_backend",
+    ),
+    "repro.inventory.store": ("Inventory",),
+    "repro.inventory.sstable": (
+        "CorruptionError",
+        "SSTableError",
+        "SSTableReader",
+        "SSTableWriter",
+        "open_inventory",
+        "verify_table",
+        "write_inventory",
+    ),
+    "repro.inventory.compaction": ("merge_tables",),
+    "repro.inventory.memtable": ("IngestRecord", "Memtable"),
+    "repro.inventory.wal": ("WalWriter",),
+    "repro.inventory.live": ("LiveInventory",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

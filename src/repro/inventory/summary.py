@@ -28,14 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sketches import (
-    CircularMoments,
-    DirectionHistogram,
-    HyperLogLog,
-    MomentsSketch,
-    SpaceSaving,
-    TDigest,
-)
+from repro.sketches.circular import CircularMoments
+from repro.sketches.histogram import DirectionHistogram
+from repro.sketches.hyperloglog import HyperLogLog
+from repro.sketches.moments import MomentsSketch
+from repro.sketches.spacesaving import SpaceSaving
+from repro.sketches.tdigest import TDigest
 
 
 @dataclass(frozen=True)

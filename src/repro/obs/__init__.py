@@ -27,78 +27,18 @@ block-cache hits/misses, and every server request with its queue-wait
 vs. handler-time split.
 """
 
-from repro.obs.exposition import (
-    MetricsExporter,
-    render_text,
-    server_exposition,
-)
-from repro.obs.registry import (
-    generate_metrics_doc,
-    register_counter,
-    register_span,
-    registered_counters,
-    registered_spans,
-)
-from repro.obs.sinks import (
-    JsonlSink,
-    ProfileRow,
-    ProfileSink,
-    RingBufferSink,
-    profile_records,
-    read_trace,
-    render_profile,
-)
-from repro.obs.trace import (
-    NOOP_SPAN,
-    Span,
-    TraceContext,
-    Tracer,
-    activate,
-    add_sink,
-    begin_collect,
-    configure,
-    current_context,
-    deactivate,
-    disable,
-    enabled,
-    end_collect,
-    find_sink,
-    replay,
-    span,
-    traced,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "MetricsExporter",
-    "NOOP_SPAN",
-    "Span",
-    "TraceContext",
-    "Tracer",
-    "JsonlSink",
-    "ProfileRow",
-    "ProfileSink",
-    "RingBufferSink",
-    "activate",
-    "add_sink",
-    "begin_collect",
-    "configure",
-    "current_context",
-    "deactivate",
-    "disable",
-    "enabled",
-    "end_collect",
-    "find_sink",
-    "generate_metrics_doc",
-    "profile_records",
-    "read_trace",
-    "register_counter",
-    "register_span",
-    "registered_counters",
-    "registered_spans",
-    "render_profile",
-    "render_text",
-    "replay",
-    "server_exposition",
-    "span",
-    "traced",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.obs.sinks": ("JsonlSink", "RingBufferSink", "read_trace"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

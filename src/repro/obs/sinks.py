@@ -27,7 +27,7 @@ from types import TracebackType
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.sketches import TDigest
+from repro.sketches.tdigest import TDigest
 
 
 class JsonlSink:

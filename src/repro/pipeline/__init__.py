@@ -24,20 +24,8 @@ inventory plus the per-stage record funnel (Figure 2) and stage timings
 (Figure 3).
 """
 
-from repro.pipeline.config import PipelineConfig
-from repro.pipeline.records import CellRecord, CleanRecord, TripRecord
+# Eager: every importer of the pipeline runs a build, which loads the
+# port index anyway.
 from repro.pipeline.geofence import PortIndex
-from repro.pipeline.extras import ExtraFeature, wind_features
-from repro.pipeline.run import PipelineResult, build_inventory
 
-__all__ = [
-    "PipelineConfig",
-    "CleanRecord",
-    "TripRecord",
-    "CellRecord",
-    "PortIndex",
-    "ExtraFeature",
-    "wind_features",
-    "PipelineResult",
-    "build_inventory",
-]
+__all__ = ["PortIndex"]

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.ais.messages import PositionReport
-from repro.engine import Engine
+from repro.engine.context import Engine
 from repro.engine.memory import gc_paused
 from repro.inventory import fsio
 from repro.inventory.compaction import merge_tables

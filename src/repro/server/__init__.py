@@ -30,57 +30,21 @@ from a persisted table; ``python -m repro route --placement …`` fronts a
 sharded deployment with the same protocol.
 """
 
-from repro.server.client import InventoryClient, ServerError
-from repro.server.metrics import ServerMetrics
-from repro.server.protocol import (
-    MAX_FRAME_BYTES,
-    MAX_MULTI_ITEMS,
-    FanOutTooLargeError,
-    FrameTooLargeError,
-    ProtocolError,
-    ShardUnavailableError,
-    TruncatedFrameError,
-)
-from repro.server.router import ShardedInventory
-from repro.server.server import (
-    InventoryServer,
-    ServerConfig,
-    ServerThread,
-    serve,
-)
-from repro.server.service import InventoryService
-from repro.server.sharding import (
-    HashRing,
-    Placement,
-    ShardSpec,
-    load_placement,
-    placement_path,
-    save_placement,
-    split_inventory,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "MAX_MULTI_ITEMS",
-    "FanOutTooLargeError",
-    "FrameTooLargeError",
-    "HashRing",
-    "InventoryClient",
-    "InventoryServer",
-    "InventoryService",
-    "Placement",
-    "ProtocolError",
-    "ServerConfig",
-    "ServerError",
-    "ServerMetrics",
-    "ServerThread",
-    "ShardSpec",
-    "ShardUnavailableError",
-    "ShardedInventory",
-    "TruncatedFrameError",
-    "load_placement",
-    "placement_path",
-    "save_placement",
-    "serve",
-    "split_inventory",
-]
+# Resolved on first use (PEP 562): ``repro build`` loads the sharding module
+# and must not load the server with it.
+_EXPORTS = {
+    "repro.server.client": ("InventoryClient", "ServerError"),
+    "repro.server.router": ("ShardedInventory",),
+    "repro.server.server": ("InventoryServer", "ServerConfig", "ServerThread"),
+    "repro.server.service": ("InventoryService",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

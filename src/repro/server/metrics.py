@@ -21,7 +21,8 @@ import threading
 from repro.engine.metrics import CounterSet
 from repro.obs import registry
 from repro.server import protocol
-from repro.sketches import MomentsSketch, TDigest
+from repro.sketches.moments import MomentsSketch
+from repro.sketches.tdigest import TDigest
 
 REQUESTS_TOTAL = registry.register_counter(
     "server.requests", "requests answered successfully, all types"

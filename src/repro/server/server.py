@@ -8,16 +8,18 @@ Architecture — one event loop, one worker pool, one shared backend:
 - the loop also **answers bounded point reads itself**: the request
   types the service lists in ``inline_types`` (``ping`` always;
   ``summary_at``, ``top_destinations_at``, ``eta`` and ``multi_get`` on
-  a read-only table or an in-memory inventory).  Their only I/O is at
-  most one block read per lookup on a cache miss, a page-cache read of
-  tens of µs — cheaper than the hop to a worker thread and back, a GIL
-  hand-off per request that buys nothing for work the GIL serialises
-  anyway.  Inline requests never wait on the semaphore (their queue
-  wait is recorded as 0);
+  a read-only table or an in-memory inventory), a ``multi_get`` only
+  up to ``INLINE_MULTI_GET_KEYS`` keys.  Their only I/O is at most one
+  block read per lookup on a cache miss, a page-cache read of tens of
+  µs — cheaper than the hop to a worker thread and back, a GIL hand-off
+  per request that buys nothing for work the GIL serialises anyway.
+  Inline requests never wait on the semaphore (their queue wait is
+  recorded as 0);
 - every other request is answered on a **worker thread**
   (``run_in_executor``): writes, the live and router backends, route
-  scans, track prediction, ``multi_query``, ``stats``, ``trace``.  The
-  pool is sized to ``max_concurrency``, matching the semaphore;
+  scans, track prediction, ``multi_query``, larger ``multi_get``
+  batches, ``stats``, ``trace``.  The pool is sized to
+  ``max_concurrency``, matching the semaphore;
 - a **semaphore** bounds in-flight pool requests.  Excess requests queue
   *in the loop*, cheaply, and their wait counts against the same
   deadline as their execution — under overload clients get fast
@@ -71,6 +73,12 @@ SPAN_HANDLE = registry.register_span(
     "inline point reads and on a worker thread otherwise (attrs: type); "
     "server.request minus server.handle is queueing + framing overhead",
 )
+
+#: The most keys a ``multi_get`` answered on the event loop may carry.  A
+#: larger batch holds the loop for its whole run (≈ 40 µs a key on a
+#: cold cache, so 1 024 keys stall every other connection ≈ 40 ms) and
+#: goes to the worker pool instead; ``serve_uniform``'s 16 stay inline.
+INLINE_MULTI_GET_KEYS = 64
 
 #: One WARNING line per over-threshold request (``--slow-request-ms``).
 _slowlog = logging.getLogger("repro.server.slowlog")
@@ -276,7 +284,7 @@ class InventoryServer:
         started = time.perf_counter()
         with obs.span(SPAN_REQUEST, type=label) as sp:
             try:
-                if label in self._inline:
+                if self._runs_inline(request, label):
                     result = self._handle_inline(request, label, sp)
                 else:
                     async with asyncio.timeout(self.config.request_timeout_s):
@@ -339,6 +347,12 @@ class InventoryServer:
                     label, request_id, elapsed * 1e3, slow_after * 1e3,
                 )
             return protocol.ok_response(request_id, result)
+
+    def _runs_inline(self, request: dict, label: str) -> bool:
+        if label not in self._inline:
+            return False
+        keys = request.get("keys") if label == "multi_get" else None
+        return not isinstance(keys, list) or len(keys) <= INLINE_MULTI_GET_KEYS
 
     def _handle_inline(
         self, request: dict, label: str, sp: obs.SpanLike

@@ -27,26 +27,26 @@ merge-associativity and split-merge consistency:
   (origins, destinations, cell transitions).
 - :class:`~repro.sketches.histogram.DirectionHistogram` — the 30° course/
   heading bins.
-- :class:`~repro.sketches.reservoir.ReservoirSample` — uniform sample,
-  used as the exact-ish reference in accuracy tests.
 """
 
-from repro.sketches.moments import MomentsSketch
-from repro.sketches.circular import CircularMoments
-from repro.sketches.tdigest import TDigest
-from repro.sketches.gk import GKQuantiles
-from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.spacesaving import SpaceSaving
-from repro.sketches.histogram import DirectionHistogram
-from repro.sketches.reservoir import ReservoirSample
+import importlib
+from typing import Any
 
-__all__ = [
-    "MomentsSketch",
-    "CircularMoments",
-    "TDigest",
-    "GKQuantiles",
-    "HyperLogLog",
-    "SpaceSaving",
-    "DirectionHistogram",
-    "ReservoirSample",
-]
+# Resolved on first use (PEP 562), so importing one submodule does not
+# load its siblings.
+_EXPORTS = {
+    "repro.sketches.moments": ("MomentsSketch",),
+    "repro.sketches.circular": ("CircularMoments",),
+    "repro.sketches.tdigest": ("TDigest",),
+    "repro.sketches.gk": ("GKQuantiles",),
+    "repro.sketches.hyperloglog": ("HyperLogLog",),
+    "repro.sketches.spacesaving": ("SpaceSaving",),
+    "repro.sketches.histogram": ("DirectionHistogram",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

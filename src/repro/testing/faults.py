@@ -62,7 +62,7 @@ import errno
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.inventory import fsio
 
@@ -272,15 +272,3 @@ def record_ops(action: Callable[[], object]) -> dict[str, int]:
     with FaultInjector(FaultPlan()) as injector:
         action()
     return dict(injector.counts)
-
-
-@dataclass
-class MatrixOutcome:
-    """Bookkeeping for one fault-matrix cell (used by the test suite to
-    report coverage: every cell must be 'error' or 'recovered', never
-    'silent')."""
-
-    fault: Fault
-    outcome: str  # "error" | "recovered" | "silent"
-    detail: str = ""
-    plan: FaultPlan = field(default_factory=FaultPlan)

@@ -28,37 +28,3 @@ equivalent that exercises every code path of the methodology:
 - :mod:`repro.world.dataset` — the top-level generator producing the
   (positions, fleet, ports) triple the pipeline consumes.
 """
-
-from repro.world.ports import Port, PORTS, port_by_id, ports_dataframe_rows
-from repro.world.waterways import Waypoint, WAYPOINTS, SEA_EDGES, CANAL_EDGES
-from repro.world.routing import SeaRouter, RouteNotFound
-from repro.world.fleet import Vessel, build_fleet
-from repro.world.voyages import VoyagePlan, schedule_voyages
-from repro.world.simulator import TrackSimulator, NoiseModel
-from repro.world.scenarios import Scenario, SuezBlockage, PortShutdown
-from repro.world.dataset import WorldConfig, SyntheticDataset, generate_dataset
-
-__all__ = [
-    "Port",
-    "PORTS",
-    "port_by_id",
-    "ports_dataframe_rows",
-    "Waypoint",
-    "WAYPOINTS",
-    "SEA_EDGES",
-    "CANAL_EDGES",
-    "SeaRouter",
-    "RouteNotFound",
-    "Vessel",
-    "build_fleet",
-    "VoyagePlan",
-    "schedule_voyages",
-    "TrackSimulator",
-    "NoiseModel",
-    "Scenario",
-    "SuezBlockage",
-    "PortShutdown",
-    "WorldConfig",
-    "SyntheticDataset",
-    "generate_dataset",
-]

@@ -1,0 +1,121 @@
+"""The import surface the scripts outside ``src/`` rely on, and what
+``import repro.cli`` may load.
+
+``bench/``, ``benchmarks/`` and ``examples/`` import names from the
+package roots (``from repro.inventory import LiveInventory``).  The
+package ``__init__``s resolve most of those lazily, so a deleted or
+misspelt export would only surface when that one script runs; the scan
+here finds every such import, function-local ones included, and
+resolves it.
+
+Each CLI subcommand imports what it runs, and a package ``__init__``
+loads a submodule only when a name from it is asked for.  A fresh
+interpreter that imports ``repro.cli`` — or what ``repro build`` and the
+table-serving subcommands run — must therefore not have loaded the live
+write path, the simulator or the server.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPT_DIRS = ("bench", "benchmarks", "examples")
+
+#: The live write path, the simulator and the server: none of the entry
+#: modules below runs them.
+NOT_LOADED = (
+    "repro.inventory.live",
+    "repro.inventory.wal",
+    "repro.inventory.memtable",
+    "repro.inventory.maintenance",
+    "repro.world.simulator",
+    "repro.server",
+)
+
+
+def _repro_imports() -> list[tuple[str, int, str, str | None]]:
+    """(file, line, module, name) for every repro import in the scripts;
+    ``name`` is None for a plain ``import repro.x``."""
+    found = []
+    for directory in SCRIPT_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            rel = str(path.relative_to(REPO))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found.extend(
+                        (rel, node.lineno, alias.name, None)
+                        for alias in node.names
+                        if alias.name.split(".")[0] == "repro"
+                    )
+                elif (
+                    isinstance(node, ast.ImportFrom)
+                    and not node.level
+                    and node.module
+                    and node.module.split(".")[0] == "repro"
+                ):
+                    found.extend(
+                        (rel, node.lineno, node.module, alias.name)
+                        for alias in node.names
+                    )
+    return found
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    try:
+        imported = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or hasattr(imported, name):
+        return True
+    try:  # ``from repro.inventory import fsio`` names a submodule
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_script_import_resolves():
+    imports = _repro_imports()
+    assert len({rel for rel, *_ in imports}) > 30  # the scan sees the scripts
+    broken = [
+        f"{rel}:{line}: {module}" + ("" if name is None else f" import {name}")
+        for rel, line, module, name in imports
+        if not _resolves(module, name)
+    ]
+    assert not broken, "unresolvable imports:\n" + "\n".join(broken)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "repro.cli",
+        "repro.pipeline.run",  # repro build
+        "repro.inventory.backend",  # repro query / render
+    ],
+)
+def test_import_loads_no_subcommand_internals(entry):
+    code = (
+        f"import sys, {entry}; "
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert entry in loaded
+    assert not loaded.intersection(NOT_LOADED), sorted(
+        loaded.intersection(NOT_LOADED)
+    )

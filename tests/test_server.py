@@ -45,6 +45,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server import protocol
+from repro.server.server import INLINE_MULTI_GET_KEYS
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -950,16 +951,22 @@ class TestInlineDispatch:
             assert InventoryService(sharded).inline_types == {"ping"}
 
     def test_point_reads_run_on_the_loop_thread(self, table, cell_probes):
+        big = INLINE_MULTI_GET_KEYS + 1
         with SSTableInventory(table, cache_blocks=8) as backend:
             threads = _recording_threads(backend)
             with ServerThread(InventoryService(backend)) as handle:
                 with InventoryClient(*handle.address) as client:
                     lat, lon = cell_probes[0]
                     client.summary_at(lat, lon)
-                    client.multi_get([{"lat": lat, "lon": lon}] * 3)
+                    # serve_uniform's batch size stays on the loop ...
+                    client.multi_get([{"lat": lat, "lon": lon}] * 16)
+                    # ... a batch over the limit goes to the pool.
+                    client.multi_get([{"lat": lat, "lon": lon}] * big)
                     client.multi_query([{"type": "summary_at", "lat": lat, "lon": lon}])
-        assert threads[:4] == [_LOOP_THREAD] * 4
-        assert threads[4] != _LOOP_THREAD  # multi_query keeps the pool
+        assert threads[:17] == [_LOOP_THREAD] * 17
+        assert len(threads) == 17 + big + 1
+        # The large multi_get and multi_query keep the pool.
+        assert _LOOP_THREAD not in threads[17:]
 
     def test_slow_pool_request_does_not_delay_inline_reads(self, table,
                                                            cell_probes):
@@ -1043,8 +1050,10 @@ class TestInlineDispatch:
 
     def test_max_multi_get_on_the_loop_stalls_ping_briefly(self, table,
                                                            small_inventory):
-        """The largest inline request: 1 024 keys over every cell, against
-        a cache far smaller than the table, so most keys read a block."""
+        """The largest multi_get: 1 024 keys over every cell, against a
+        cache far smaller than the table, so most keys read a block.  A
+        batch this size runs on a worker thread; the loop only frames it,
+        so a concurrent ping does not wait behind its lookups."""
         cells = sorted(small_inventory.cells())
         keys = []
         while len(keys) < protocol.MAX_MULTI_ITEMS:

@@ -1,10 +1,10 @@
-"""Tests for CircularMoments and ReservoirSample."""
+"""Tests for CircularMoments."""
 
 import random
 
 import pytest
 
-from repro.sketches import CircularMoments, ReservoirSample
+from repro.sketches import CircularMoments
 
 
 class TestCircularMoments:
@@ -67,64 +67,3 @@ class TestCircularMoments:
         assert restored.mean_deg == pytest.approx(sketch.mean_deg)
         assert restored.count == sketch.count
 
-
-class TestReservoirSample:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ReservoirSample(0)
-
-    def test_below_capacity_keeps_everything(self):
-        sample = ReservoirSample(100, seed=1)
-        for i in range(50):
-            sample.update(i)
-        assert sorted(sample.items) == list(range(50))
-        assert sample.seen == 50
-
-    def test_fixed_size_above_capacity(self):
-        sample = ReservoirSample(64, seed=2)
-        for i in range(10000):
-            sample.update(i)
-        assert len(sample.items) == 64
-        assert sample.seen == 10000
-
-    def test_sampling_is_roughly_uniform(self):
-        hits = [0] * 10
-        for seed in range(300):
-            sample = ReservoirSample(10, seed=seed)
-            for i in range(100):
-                sample.update(i)
-            for item in sample.items:
-                hits[item // 10] += 1
-        total = sum(hits)
-        for bucket in hits:
-            assert 0.05 < bucket / total < 0.16  # expect ≈0.10 each
-
-    def test_merge_preserves_size_and_counts(self):
-        a = ReservoirSample(32, seed=3)
-        b = ReservoirSample(32, seed=4)
-        for i in range(1000):
-            a.update(("a", i))
-        for i in range(3000):
-            b.update(("b", i))
-        a.merge(b)
-        assert a.seen == 4000
-        assert len(a.items) == 32
-        b_share = sum(1 for item in a.items if item[0] == "b") / 32
-        assert 0.4 < b_share < 1.0  # b's stream is 3× larger
-
-    def test_merge_into_empty(self):
-        empty = ReservoirSample(8, seed=5)
-        full = ReservoirSample(8, seed=6)
-        for i in range(20):
-            full.update(i)
-        empty.merge(full)
-        assert empty.seen == 20
-        assert len(empty.items) == 8
-
-    def test_dict_roundtrip(self):
-        sample = ReservoirSample(16, seed=7)
-        for i in range(100):
-            sample.update(i)
-        restored = ReservoirSample.from_dict(sample.to_dict())
-        assert restored.seen == sample.seen
-        assert restored.items == sample.items

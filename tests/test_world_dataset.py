@@ -4,8 +4,7 @@ import pytest
 
 from repro.ais.vesseltypes import COMMERCIAL_SEGMENTS
 from repro.geo.polygon import BoundingBox
-from repro.world import WorldConfig, generate_dataset
-from repro.world.dataset import EPOCH_2022
+from repro.world.dataset import EPOCH_2022, WorldConfig, generate_dataset
 
 
 @pytest.fixture(scope="module")

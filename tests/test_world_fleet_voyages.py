@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from repro.ais.vesseltypes import MarketSegment
-from repro.world import SeaRouter, build_fleet, schedule_voyages
-from repro.world.fleet import imo_check_digit, make_imo
-from repro.world.voyages import pick_home_routes
+from repro.world.fleet import build_fleet, imo_check_digit, make_imo
+from repro.world.routing import SeaRouter
+from repro.world.voyages import pick_home_routes, schedule_voyages
 
 
 class TestFleet:

@@ -10,7 +10,8 @@ import random
 import pytest
 
 from repro.geo.distance import cross_track_distance_m
-from repro.world import SeaRouter, TrackSimulator
+from repro.world.routing import SeaRouter
+from repro.world.simulator import TrackSimulator
 from repro.world.voyages import VoyagePlan
 
 

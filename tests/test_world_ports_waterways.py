@@ -3,8 +3,8 @@
 import pytest
 
 from repro.geo import haversine_m
-from repro.world import CANAL_EDGES, PORTS, SEA_EDGES, WAYPOINTS, port_by_id
-from repro.world.ports import Port, ports_dataframe_rows
+from repro.world.ports import PORTS, Port, port_by_id, ports_dataframe_rows
+from repro.world.waterways import CANAL_EDGES, SEA_EDGES, WAYPOINTS
 
 
 class TestPorts:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.world import SeaRouter
+from repro.world.routing import SeaRouter
 from repro.world.ports import PORTS
 
 

@@ -6,14 +6,10 @@ import pytest
 
 from repro.ais.messages import NavigationStatus
 from repro.geo import haversine_m
-from repro.world import (
-    NoiseModel,
-    PortShutdown,
-    SeaRouter,
-    SuezBlockage,
-    TrackSimulator,
-)
 from repro.world.ports import port_by_id
+from repro.world.routing import SeaRouter
+from repro.world.scenarios import PortShutdown, SuezBlockage
+from repro.world.simulator import NoiseModel, TrackSimulator
 from repro.world.voyages import VoyagePlan
 
 
