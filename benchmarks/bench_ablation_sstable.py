@@ -10,7 +10,10 @@ It also measures what format v3's integrity machinery (per-block CRCs +
 checksummed footer) costs against v2: write time, cold per-get latency
 (every get verifies its block), and warm-cache per-get latency (cache
 hits skip verification, so the overhead must be within noise — the
-report asserts < 10 %).
+report asserts < 10 %).  The warm passes of the two versions alternate
+round by round and each side keeps its best round, so a burst of load
+from a neighbour on a shared machine lands on both sides instead of
+deciding the ratio.
 """
 
 from __future__ import annotations
@@ -103,39 +106,53 @@ def test_ablation_sstable_block_size(benchmark, tmp_path_factory,
                 for key in probe_keys:
                     reader.get(key)
                 cold_times.append(time.perf_counter() - start)
-        # Warm gets: the block cache serves verified blocks, so checksum
-        # work happens once per block, not once per lookup.
-        warm_times = []
-        with SSTableInventory(path, cache_blocks=512) as backend:
-            for key in probe_keys:  # warm the cache
-                backend.get(key)
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for key in probe_keys:
-                    backend.get(key)
-                warm_times.append(time.perf_counter() - start)
         version_rows[version] = (
             min(write_times),
             min(cold_times) / len(probe_keys) * 1e3,
-            min(warm_times) / len(probe_keys) * 1e3,
             path.stat().st_size,
         )
+
+    # Warm gets: the block cache serves verified blocks, so checksum work
+    # happens once per block, not once per lookup.
+    warm_rounds = 10 * repeats
+    warm_times: dict[int, list[float]] = {2: [], 3: []}
+    with (
+        SSTableInventory(directory / "inv-v2.sst", cache_blocks=512) as v2,
+        SSTableInventory(directory / "inv-v3.sst", cache_blocks=512) as v3,
+    ):
+        backends = {2: v2, 3: v3}
+        for backend in backends.values():
+            for key in probe_keys:  # warm the cache
+                backend.get(key)
+        for round_index in range(warm_rounds):
+            order = (2, 3) if round_index % 2 == 0 else (3, 2)
+            for version in order:
+                backend = backends[version]
+                start = time.perf_counter()
+                for key in probe_keys:
+                    backend.get(key)
+                warm_times[version].append(time.perf_counter() - start)
+    warm_ms = {
+        version: min(times) / len(probe_keys) * 1e3
+        for version, times in warm_times.items()
+    }
 
     lines.append("")
     lines.append(
         f"Format v2 vs v3 checksum overhead ({algo_name(DEFAULT_ALGO)}, "
-        f"16KB blocks, min of {repeats} repeats)"
+        f"16KB blocks, min of {repeats} repeats; warm: best of "
+        f"{warm_rounds} interleaved rounds)"
     )
     lines.append(
         f"{'Version':>8} {'Write s':>9} {'Cold ms/get':>12} "
         f"{'Warm ms/get':>12} {'FileMB':>7}"
     )
-    for version, (write_s, cold_ms, warm_ms, size) in version_rows.items():
+    for version, (write_s, cold_ms, size) in version_rows.items():
         lines.append(
-            f"{version:>8} {write_s:>9.3f} {cold_ms:>12.4f} {warm_ms:>12.4f} "
-            f"{size/1e6:>7.1f}"
+            f"{version:>8} {write_s:>9.3f} {cold_ms:>12.4f} "
+            f"{warm_ms[version]:>12.4f} {size/1e6:>7.1f}"
         )
-    warm_overhead = version_rows[3][2] / version_rows[2][2] - 1.0
+    warm_overhead = warm_ms[3] / warm_ms[2] - 1.0
     lines.append("")
     lines.append(
         f"Warm-cache overhead of v3 over v2: {warm_overhead:+.1%} "

@@ -5,8 +5,7 @@ bounded work: the request types the service lists in ``inline_types``
 (``ping``; point reads on a read-only table or an in-memory inventory),
 whose only I/O is at most one block read per lookup.  Anything that
 can block for long — sleeps, opening files, sync clients, subprocesses,
-writes, route scans, the router's fan-out — runs on the worker pool via
-``run_in_executor``.  One stray ``time.sleep`` or ``open()`` inside an
+writes, route scans — runs on the worker pool via ``run_in_executor``.  One stray ``time.sleep`` or ``open()`` inside an
 ``async def`` stalls *every* connection, which is exactly the class of
 regression hardest to spot by reading (the code still works, just not
 concurrently).
@@ -24,13 +23,7 @@ Nested ``def``\\ s inside an ``async def`` are skipped: they execute
 wherever they are *called* (typically handed to the executor), not on
 the loop.
 
-The scope is every module under ``server/`` — including the sharding
-tier (``server/sharding.py``, ``server/router.py``).  The router runs
-its blocking :class:`InventoryClient` fan-out on the fronting server's
-*worker pool* (plain ``def`` methods the service calls via
-``run_in_executor``), which is exactly why its modules contain no
-``async def`` at all; should one grow an ``async def`` that speaks the
-sync client or the filesystem directly, this rule flags it.
+The scope is every module under ``server/``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ A rule is a class with an ``id``, a ``title`` and two hooks:
 
 Rules never import or execute project code; everything they know comes
 from the parsed trees in :class:`~repro.analysis.project.Project`.  New
-rules register by appending to ``repro.analysis.runner.DEFAULT_RULES``
+rules register by appending to ``repro.analysis.runner.default_rules``
 (see ``docs/ANALYSIS.md`` for a worked example).
 """
 

@@ -17,8 +17,8 @@ aliasing cannot hide one): ``open(...)``, ``fsio.open_file(...)``,
 
 Ownership **escapes** (the function is no longer responsible) when the
 name is returned or yielded, assigned onward (attribute, container,
-another name), or passed as a call argument — e.g. the router hands the
-pooled client to ``op(client)``, whose release paths REP008 does not
+another name), or passed as a call argument — e.g. a handle given to
+the helper that closes it, whose release paths REP008 does not
 second-guess.  ``with`` acquisitions are inherently safe and never
 tracked; ``with x:`` and guarded ``if x: x.close()`` shapes release.
 

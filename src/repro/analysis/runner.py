@@ -20,43 +20,51 @@ import argparse
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from repro.analysis import baseline as baseline_mod
 from repro.analysis import changed as changed_mod
 from repro.analysis import report as report_mod
 from repro.analysis import sarif as sarif_mod
 from repro.analysis.findings import META_RULE, Finding
-from repro.analysis.project import Project
-from repro.analysis.rules.async_blocking import AsyncBlockingRule
-from repro.analysis.rules.base import Rule
-from repro.analysis.rules.corruption import SwallowedCorruptionRule
-from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.durability import DurableWriteRule
-from repro.analysis.rules.leaks import ResourceLeakRule
-from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.registry_sync import RegistrySyncRule
-from repro.analysis.rules.wire_errors import WireErrorSyncRule
 
-#: The invariant suite, in rule-id order.  Extending the checker is
-#: appending here (see docs/ANALYSIS.md, "Writing a new rule").
-DEFAULT_RULES: tuple[type[Rule], ...] = (
-    DurableWriteRule,
-    LockDisciplineRule,
-    RegistrySyncRule,
-    DeterminismRule,
-    SwallowedCorruptionRule,
-    AsyncBlockingRule,
-    ResourceLeakRule,
-    WireErrorSyncRule,
-)
+if TYPE_CHECKING:
+    from repro.analysis.rules.base import Rule
 
 #: Name of the committed ratchet file, looked up at the repository root
 #: (two levels above the package root: ``src/repro`` → repo).
 BASELINE_FILENAME = "lint-baseline.json"
 
 
-def rule_titles(rules: Iterable[type[Rule]] = DEFAULT_RULES) -> dict[str, str]:
+def default_rules() -> tuple[type[Rule], ...]:
+    """The invariant suite, in rule-id order.  Extending the checker is
+    appending here (see docs/ANALYSIS.md, "Writing a new rule").
+
+    The rules load when a lint runs, not with this module: building the
+    ``repro lint`` parser imports no rule, no project loader, no CFG.
+    """
+    from repro.analysis.rules.async_blocking import AsyncBlockingRule
+    from repro.analysis.rules.corruption import SwallowedCorruptionRule
+    from repro.analysis.rules.determinism import DeterminismRule
+    from repro.analysis.rules.durability import DurableWriteRule
+    from repro.analysis.rules.leaks import ResourceLeakRule
+    from repro.analysis.rules.locks import LockDisciplineRule
+    from repro.analysis.rules.registry_sync import RegistrySyncRule
+    from repro.analysis.rules.wire_errors import WireErrorSyncRule
+
+    return (
+        DurableWriteRule,
+        LockDisciplineRule,
+        RegistrySyncRule,
+        DeterminismRule,
+        SwallowedCorruptionRule,
+        AsyncBlockingRule,
+        ResourceLeakRule,
+        WireErrorSyncRule,
+    )
+
+
+def rule_titles(rules: Iterable[type[Rule]]) -> dict[str, str]:
     """Rule id → one-line title, for reports and docs."""
     return {rule.id: rule.title for rule in rules}
 
@@ -67,8 +75,10 @@ def analyze(
 ) -> list[Finding]:
     """Run the rule suite over a tree; returns sorted, deduplicated,
     pragma-filtered findings (including ``REP000`` meta findings)."""
+    from repro.analysis.project import Project
+
     project = Project.load(root)
-    rule_instances = [cls() for cls in (rules if rules is not None else DEFAULT_RULES)]
+    rule_instances = [cls() for cls in (rules if rules is not None else default_rules())]
     findings: set[Finding] = set(project.errors)
     for module in project.modules:
         findings.update(module.pragma_errors)
@@ -88,9 +98,9 @@ def analyze(
 
 def _select_rules(spec: str | None) -> tuple[type[Rule], ...]:
     if spec is None:
-        return DEFAULT_RULES
+        return default_rules()
     wanted = {part.strip() for part in spec.split(",") if part.strip()}
-    known = {rule.id: rule for rule in DEFAULT_RULES}
+    known = {rule.id: rule for rule in default_rules()}
     unknown = sorted(wanted - set(known))
     if unknown:
         raise SystemExit(f"unknown rule id(s): {', '.join(unknown)}")

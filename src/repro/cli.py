@@ -9,8 +9,6 @@
     python -m repro serve    --inventory inv.sst --port 7077
     python -m repro serve    --live live_dir/ --resolution 6 --port 7077
     python -m repro ingest   --feed archive.csv --port 7077
-    python -m repro route    --placement inv.sst.placement.json \
-                             --shard shard-0=127.0.0.1:7081 ...
     python -m repro render   --inventory inv.sst --feature speed --out map.ppm
     python -m repro info     --inventory inv.sst
     python -m repro fsck     --inventory inv.sst [--salvage fixed.sst]
@@ -25,18 +23,15 @@ build from its manifest); ``compact`` k-way merges tables; ``query`` and
 materializes the whole store in memory.  ``serve`` exposes the same
 table over TCP through the concurrent query server
 (:mod:`repro.server`): bounded in-flight requests, per-request
-deadlines, graceful drain on Ctrl-C.  ``build --shards N`` additionally
-splits the table into per-shard SSTables plus a placement manifest, and
-``route`` fronts the shard servers with the scatter-gather router
-(failover, health probes) behind the identical protocol.  ``serve
---live`` opens a :class:`~repro.inventory.live.LiveInventory` directory
-instead of a read-only table: the server then also accepts ``ingest``
-requests (WAL + memtable write path, crash-recovery on open), and
-``repro ingest`` feeds it from a CSV or NMEA file — optionally tailing
-the file as a receiver would.  ``fsck`` verifies every checksum in a
-table and can salvage the readable blocks of a damaged one; ``fsck
---wal`` triages a live directory's WAL segments (recoverable torn tail
-vs hard corruption).
+deadlines, graceful drain on Ctrl-C.  ``serve --live`` opens a
+:class:`~repro.inventory.live.LiveInventory` directory instead of a
+read-only table: the server then also accepts ``ingest`` requests
+(WAL + memtable write path, crash-recovery on open), and ``repro ingest``
+feeds it from a CSV or NMEA file — optionally tailing the file as a
+receiver would.  ``fsck`` verifies every checksum in a table and can
+salvage the readable blocks of a damaged one; ``fsck --wal`` triages a
+live directory's WAL segments (recoverable torn tail vs hard
+corruption).
 
 Tracing (``repro.obs``): ``build --trace spans.jsonl`` records a span
 per pipeline stage (the paper's Fig. 3 funnel) and ``repro trace``
@@ -111,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="continue an interrupted windowed build: "
                             "reuse completed windows verified against "
                             "the build manifest")
-    build.add_argument("--shards", type=int, default=1,
-                       help="also split the compacted table into this many "
-                            "per-shard SSTables (consistent hashing on "
-                            "cells) and publish <out>.placement.json "
-                            "for 'repro route' (1 = single table)")
     build.add_argument("--trace", type=Path, default=None,
                        help="record a span per pipeline stage to this "
                             "JSONL file (render with 'repro trace')")
@@ -203,45 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log (repro.server.slowlog) and count "
                             "successful requests slower than this")
     serve.set_defaults(handler=_cmd_serve)
-
-    route = commands.add_parser(
-        "route",
-        help="front N shard servers with the scatter-gather router "
-             "(same wire protocol as 'serve')",
-    )
-    route.add_argument("--placement", type=Path, required=True,
-                       help="placement manifest published by "
-                            "'build --shards' (<out>.placement.json)")
-    route.add_argument("--shard", action="append", default=[],
-                       metavar="NAME=HOST:PORT[,HOST:PORT...]",
-                       help="serving endpoints of one placement shard; "
-                            "first address is the primary, the rest are "
-                            "replicas (repeat per shard)")
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=7070,
-                       help="TCP port (0 = pick a free one and report it)")
-    route.add_argument("--max-concurrency", type=int, default=16)
-    route.add_argument("--request-timeout", type=float, default=10.0,
-                       help="per-request deadline in seconds")
-    route.add_argument("--idle-timeout", type=float, default=30.0)
-    route.add_argument("--shard-timeout", type=float, default=5.0,
-                       help="per-shard-call timeout in seconds (keep it "
-                            "under --request-timeout so failover fits "
-                            "inside the request deadline)")
-    route.add_argument("--connect-timeout", type=float, default=2.0,
-                       help="shard connection timeout (fast-fail to the "
-                            "replica when an endpoint host is dead)")
-    route.add_argument("--failure-threshold", type=int, default=3,
-                       help="consecutive failures before an endpoint is "
-                            "marked down and skipped")
-    route.add_argument("--probe-interval", type=float, default=5.0,
-                       help="background health-probe period in seconds "
-                            "(down endpoints recover only via probes; "
-                            "0 disables probing)")
-    route.add_argument("--metrics-port", type=int, default=None,
-                       help="also expose Prometheus-style GET /metrics "
-                            "on this port (0 = pick a free one)")
-    route.set_defaults(handler=_cmd_route)
 
     ingest = commands.add_parser(
         "ingest",
@@ -387,7 +338,6 @@ def _cmd_build(args) -> int:
             output=args.out,
             windows=args.windows,
             resume=args.resume,
-            shards=getattr(args, "shards", 1),
         )
     finally:
         if trace_sink is not None:
@@ -401,15 +351,6 @@ def _cmd_build(args) -> int:
         print(f"  {stage:<22} {count:>10,}")
     window_note = f" ({args.windows} windows)" if args.windows > 1 else ""
     print(f"wrote {result.entries:,} groups to {args.out}{window_note}")
-    if result.placement is not None:
-        from repro.server.sharding import placement_path
-
-        for spec in result.placement.shards:
-            print(f"  {spec.name:<14} {spec.entries:>10,} groups "
-                  f"-> {spec.table}")
-        print(f"published placement to {placement_path(args.out)} "
-              f"(serve each shard with 'repro serve', front them with "
-              f"'repro route')")
     return 0
 
 
@@ -466,7 +407,7 @@ def _serve_config(args):
     arg-to-config plumbing without binding a socket)."""
     from repro.server.server import ServerConfig
 
-    slow_ms = getattr(args, "slow_request_ms", None)
+    slow_ms = args.slow_request_ms
     return ServerConfig(
         host=args.host,
         port=args.port,
@@ -482,9 +423,9 @@ def _serve_sinks(args) -> list:
     from repro.obs.sinks import JsonlSink, RingBufferSink
 
     sinks: list = []
-    if getattr(args, "trace", None) is not None:
+    if args.trace is not None:
         sinks.append(JsonlSink(args.trace))
-    if getattr(args, "trace_ring", 0) > 0:
+    if args.trace_ring > 0:
         sinks.append(RingBufferSink(args.trace_ring))
     return sinks
 
@@ -696,79 +637,6 @@ def _cmd_ingest(args) -> int:
         return 1
     durability = "durable" if durable else "accepted (fsync pending)"
     print(f"ingested {sent:,} records from {args.feed} ({durability})")
-    return 0
-
-
-def _route_addresses(args) -> dict[str, list[tuple[str, int]]]:
-    """Parse the repeated ``--shard NAME=HOST:PORT[,HOST:PORT]`` flags
-    (split out so tests can pin the parsing without binding sockets)."""
-    addresses: dict[str, list[tuple[str, int]]] = {}
-    for spec in args.shard:
-        name, separator, rest = spec.partition("=")
-        if not separator or not name or not rest:
-            raise ValueError(
-                f"--shard must look like NAME=HOST:PORT[,HOST:PORT], "
-                f"got {spec!r}"
-            )
-        if name in addresses:
-            raise ValueError(f"--shard {name!r} given twice")
-        endpoints: list[tuple[str, int]] = []
-        for address in rest.split(","):
-            host, separator, port = address.rpartition(":")
-            if not separator or not host or not port.isdigit():
-                raise ValueError(
-                    f"--shard {name!r}: bad address {address!r} "
-                    f"(expected HOST:PORT)"
-                )
-            endpoints.append((host, int(port)))
-        addresses[name] = endpoints
-    return addresses
-
-
-def _cmd_route(args) -> int:
-    import asyncio
-
-    from repro.server.router import ShardedInventory
-    from repro.server.server import serve
-    from repro.server.service import InventoryService
-    from repro.server.sharding import load_placement
-
-    placement = load_placement(args.placement)
-    addresses = _route_addresses(args)
-    unknown = sorted(set(addresses) - set(placement.shard_names()))
-    if unknown:
-        raise ValueError(
-            f"--shard names not in the placement: {', '.join(unknown)} "
-            f"(placement has: {', '.join(placement.shard_names())})"
-        )
-    config = _serve_config(args)
-    with ShardedInventory(
-        placement,
-        addresses,
-        timeout=args.shard_timeout,
-        connect_timeout=args.connect_timeout,
-        failure_threshold=args.failure_threshold,
-        probe_interval_s=args.probe_interval if args.probe_interval > 0 else None,
-    ) as sharded:
-        print(f"placement {args.placement} v{placement.version}: "
-              f"{placement.total_entries():,} groups across "
-              f"{len(placement.shards)} shards at resolution "
-              f"{placement.resolution}")
-        for spec in placement.shards:
-            endpoints = ", ".join(
-                f"{host}:{port}" for host, port in addresses[spec.name]
-            )
-            print(f"  {spec.name:<14} {spec.entries:>10,} groups @ {endpoints}")
-        try:
-            asyncio.run(
-                serve(
-                    InventoryService(sharded),
-                    config,
-                    metrics_port=args.metrics_port,
-                )
-            )
-        except KeyboardInterrupt:
-            print("interrupted: drained and closed")
     return 0
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.ais.messages import PositionReport
 from repro.engine.context import Engine
@@ -58,9 +57,6 @@ from repro.pipeline.features import merge_summaries
 from repro.pipeline.geofence import PortIndex
 from repro.world.fleet import Vessel
 from repro.world.ports import Port
-
-if TYPE_CHECKING:  # imported lazily at runtime (serving is optional)
-    from repro.server.sharding import Placement
 
 # The paper's Figure-3 execution funnel, one span per stage.  ``repro
 # trace`` over a traced build renders exactly this stage set; the CLI
@@ -102,11 +98,6 @@ SPAN_COMPACT = registry.register_span(
     "k-way merge of window tables into the output table "
     "(one window: its table renamed onto the output)",
 )
-SPAN_SHARD = registry.register_span(
-    "pipeline.shard",
-    "sharded builds only: split of the compacted table into per-shard "
-    "tables + placement manifest (attrs: shards)",
-)
 
 
 @dataclass
@@ -125,18 +116,6 @@ class PipelineResult:
     output: Path | None = None
     #: Entries in the compacted table for on-disk builds.
     entries: int = 0
-    #: The published placement manifest for sharded builds
-    #: (``shards > 1``): which shard table serves which slice of the
-    #: key-space.  ``None`` for single-table builds.
-    placement: "Placement | None" = None
-
-    def shard_tables(self) -> list[Path]:
-        """Per-shard table paths of a sharded build (empty otherwise)."""
-        if self.placement is None or self.output is None:
-            return []
-        return [
-            self.output.with_name(spec.table) for spec in self.placement.shards
-        ]
 
     def funnel_rows(self) -> list[tuple[str, int]]:
         """(stage, records) rows in pipeline order."""
@@ -152,7 +131,6 @@ def build_inventory(
     output: str | Path | None = None,
     windows: int = 1,
     resume: bool = False,
-    shards: int = 1,
 ) -> PipelineResult:
     """Run the full methodology over a positional-report archive.
 
@@ -172,20 +150,10 @@ def build_inventory(
         reused instead of re-run.  A manifest from different inputs (or
         a damaged one) is discarded and the build starts clean, so
         ``resume=True`` is always safe to pass.
-    :param shards: with ``shards > 1`` (on-disk builds only), also split
-        the compacted table into per-shard SSTables by consistent
-        hashing on cells and publish the placement manifest next to the
-        output — the inputs a sharded serving tier (``repro route``)
-        deploys from.  ``shards=1`` (default) stays the single-table
-        reference path and touches none of the sharding machinery.
     """
     config = config or PipelineConfig()
     if resume and output is None:
         raise ValueError("resume=True requires an output path")
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
-    if shards > 1 and output is None:
-        raise ValueError("sharded builds require an output path")
     own_engine = engine is None
     engine = engine or Engine()
     try:
@@ -208,20 +176,10 @@ def build_inventory(
                     funnel=funnel,
                     stage_seconds=_stage_seconds(engine),
                 )
-            result = _build_to_table(
+            return _build_to_table(
                 positions, fleet, ports, config, engine, Path(output), windows,
                 resume=resume,
             )
-            if shards > 1:
-                # Lazy import: the pipeline does not depend on the
-                # serving tier unless a sharded build asks for it.
-                from repro.server.sharding import publish_split
-
-                with obs.span(SPAN_SHARD, shards=shards):
-                    result.placement = publish_split(
-                        Path(output), config.resolution, shards=shards
-                    )
-            return result
     finally:
         if own_engine:
             engine.close()

@@ -18,26 +18,18 @@ This package is that serving tier for any
   (:mod:`repro.obs.exposition`);
 - :mod:`repro.server.client` — the synchronous client whose query
   methods mirror the in-process backend's (plus ``trace`` for the live
-  span ring buffer);
-- :mod:`repro.server.sharding` — the consistent-hash ring, the
-  per-shard table splitter and the placement manifest;
-- :mod:`repro.server.router` — :class:`ShardedInventory`, a queryable
-  backend whose storage is N shard servers (failover, health probes,
-  snapshot-consistent rebalancing).
+  span ring buffer).
 
 ``python -m repro serve --inventory inv.sst`` stands the whole stack up
-from a persisted table; ``python -m repro route --placement …`` fronts a
-sharded deployment with the same protocol.
+from a persisted table.
 """
 
 import importlib
 from typing import Any
 
-# Resolved on first use (PEP 562): ``repro build`` loads the sharding module
-# and must not load the server with it.
+# Resolved on first use (PEP 562): a client need not load the server.
 _EXPORTS = {
     "repro.server.client": ("InventoryClient", "ServerError"),
-    "repro.server.router": ("ShardedInventory",),
     "repro.server.server": ("InventoryServer", "ServerConfig", "ServerThread"),
     "repro.server.service": ("InventoryService",),
 }

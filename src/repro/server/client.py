@@ -51,17 +51,9 @@ class InventoryClient:
         port: int,
         timeout: float = 30.0,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        connect_timeout: float | None = None,
     ) -> None:
-        # The router's pools connect with a short ``connect_timeout`` so
-        # a dead endpoint fails fast (on to the replica) while in-flight
-        # requests keep the generous per-request ``timeout``.
         self.max_frame_bytes = max_frame_bytes
-        self._sock = socket.create_connection(
-            (host, port),
-            timeout=timeout if connect_timeout is None else connect_timeout,
-        )
-        self._sock.settimeout(timeout)
+        self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rb")
         self._ids = itertools.count(1)
@@ -179,7 +171,7 @@ class InventoryClient:
 
     def multi_get_encoded(self, keys: list[dict]) -> list[bytes | None]:
         """:meth:`multi_get` without the codec: each summary as the
-        codec bytes the server sent (what a router forwards)."""
+        codec bytes the server sent, undecoded."""
         result = self.request("multi_get", keys=list(keys))
         return [
             None if text is None else protocol.encoded_from_wire(text)

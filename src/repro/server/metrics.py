@@ -95,10 +95,6 @@ for _code, _meaning in (
         "queries answered with a typed data-corruption error",
     ),
     (
-        protocol.ERR_SHARD_UNAVAILABLE,
-        "routed requests whose owning shard had no live endpoint",
-    ),
-    (
         protocol.ERR_INGEST_BACKPRESSURE,
         "ingest batches refused because maintenance fell behind "
         "(typed write stall; the batch was never applied)",

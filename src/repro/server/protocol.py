@@ -78,11 +78,6 @@ ERR_INTERNAL = "internal"
 #: Clients get this typed error (and a live connection), never a wrong
 #: answer and never a silently dropped socket.
 ERR_CORRUPTION = "data_corruption"
-#: A sharded deployment could not reach any endpoint (primary or
-#: replica) of the shard owning the requested keys.  Like corruption,
-#: this is a typed error on a live connection — the router answers
-#: within its deadline, never a hang and never a dropped socket.
-ERR_SHARD_UNAVAILABLE = "shard_unavailable"
 #: The live backend's maintenance worker fell behind and the ingest
 #: backpressure valve timed out: the batch was NOT applied (nothing was
 #: logged to the WAL), so the client may simply retry after a pause.
@@ -147,21 +142,6 @@ class BadRequestError(ProtocolError):
 
     def __init__(self, message: str) -> None:
         super().__init__(ERR_BAD_REQUEST, message)
-
-
-class ShardUnavailableError(ProtocolError):
-    """Every endpoint of the shard owning a request's keys is down.
-
-    Raised by the router's backend while a request is being answered, so
-    the (router-fronting) server converts it into a typed
-    ``shard_unavailable`` error response on a live connection.  The
-    shard's name rides in ``details`` so operators can page the right
-    pair of processes.
-    """
-
-    def __init__(self, shard: str, message: str) -> None:
-        super().__init__(ERR_SHARD_UNAVAILABLE, message, details={"shard": shard})
-        self.shard = shard
 
 
 class IngestBackpressureError(ProtocolError):

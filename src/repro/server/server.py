@@ -16,10 +16,10 @@ Architecture — one event loop, one worker pool, one shared backend:
   Inline requests never wait on the semaphore (their queue wait is
   recorded as 0);
 - every other request is answered on a **worker thread**
-  (``run_in_executor``): writes, the live and router backends, route
-  scans, track prediction, ``multi_query``, larger ``multi_get``
-  batches, ``stats``, ``trace``.  The pool is sized to
-  ``max_concurrency``, matching the semaphore;
+  (``run_in_executor``): writes, the live backend, route scans, track
+  prediction, ``multi_query``, larger ``multi_get`` batches, ``stats``,
+  ``trace``.  The pool is sized to ``max_concurrency``, matching the
+  semaphore;
 - a **semaphore** bounds in-flight pool requests.  Excess requests queue
   *in the loop*, cheaply, and their wait counts against the same
   deadline as their execution — under overload clients get fast

@@ -35,7 +35,6 @@ from repro.inventory.backend import (
     check_breakdown,
 )
 from repro.inventory.keys import GroupKey
-from repro.inventory.maintenance import IngestBackpressure
 from repro.inventory.sstable import SSTableError
 from repro.inventory.store import Inventory
 from repro.obs import trace as obs
@@ -96,9 +95,8 @@ class InventoryService:
         # Which requests the server may answer on its event loop.  Only a
         # read-only table or an in-memory inventory bounds a point read
         # by one block read: a live read waits on the memtable lock that
-        # ingest holds and merges across every table, the router speaks
-        # blocking sockets, and ``route_cells`` may scan a whole table
-        # for a missing sidecar.
+        # ingest holds and merges across every table, and ``route_cells``
+        # may scan a whole table for a missing sidecar.
         self.inline_types: frozenset[str] = frozenset({"ping"})
         if isinstance(inventory, (SSTableInventory, Inventory)):
             self.inline_types |= POINT_READS
@@ -129,12 +127,6 @@ class InventoryService:
         cache_stats = getattr(inventory, "cache_stats", None)
         if callable(cache_stats):
             stats["cache"] = cache_stats()
-        # A sharded backend reports per-shard health (endpoint states,
-        # failover counts) under the same optional-hook pattern as the
-        # block cache above.
-        shard_stats = getattr(inventory, "shard_stats", None)
-        if callable(shard_stats):
-            stats["shards"] = shard_stats()
         # A live (WAL + memtable) backend reports its write-path state —
         # memtable fill, table count, WAL watermarks — the same way.
         ingest_stats = getattr(inventory, "ingest_stats", None)
@@ -157,6 +149,10 @@ class InventoryService:
                 "backend is read-only: ingest requires a live inventory "
                 "(repro serve --live)"
             )
+        # Only a live backend gets here: a read-only server never loads
+        # the write path.
+        from repro.inventory.maintenance import IngestBackpressure
+
         records = self._fanout_items(request, "records")
         try:
             ack = sink(records)
@@ -316,20 +312,16 @@ class InventoryService:
         # N summary_at point lookups in one frame; summaries come back in
         # key order (None where the cell is empty).  Every key is
         # validated before the first lookup, so the first invalid key
-        # fails the batch with the same ``keys[i]: ...`` error whether
-        # the backend answers key by key or, like the sharded router,
-        # the whole batch at once (its ``multi_encoded_at`` hook: one
-        # sub-``multi_get`` per shard instead of N round trips).  The
-        # running byte count is exact for the payload (base64 needs no
-        # JSON escaping): each summary costs len(wire) + quotes + comma,
-        # a miss costs `null` + comma.
+        # fails the batch with a ``keys[i]: ...`` error and no lookup
+        # runs.  The running byte count is exact for the payload (base64
+        # needs no JSON escaping): each summary costs len(wire) + quotes
+        # + comma, a miss costs `null` + comma.
         keys = self._fanout_items(request, "keys")
         parsed = [self._validate_multi_key(key, index) for index, key in enumerate(keys)]
-        multi = getattr(self.inventory, "multi_encoded_at", None)
-        answers = multi(keys) if callable(multi) else map(self._encoded_at, parsed)
         summaries: list[str | None] = []
         size = 0
-        for index, raw in enumerate(answers):
+        for index, args in enumerate(parsed):
+            raw = self._encoded_at(args)
             wire = _to_wire(raw)
             size += 5 if wire is None else len(wire) + 3
             self._check_multi_budget(size, index)

@@ -17,8 +17,8 @@ import pytest
 
 from repro.analysis import baseline
 from repro.analysis.runner import (
-    DEFAULT_RULES,
     analyze,
+    default_rules,
     lint,
     main,
 )
@@ -336,6 +336,6 @@ def test_findings_are_sorted_and_deduplicated(tmp_path):
 
 
 def test_default_rule_ids_are_unique_and_titled():
-    ids = [rule.id for rule in DEFAULT_RULES]
+    ids = [rule.id for rule in default_rules()]
     assert len(set(ids)) == len(ids) == 8
-    assert all(rule.title for rule in DEFAULT_RULES)
+    assert all(rule.title for rule in default_rules())

@@ -12,7 +12,9 @@ Each CLI subcommand imports what it runs, and a package ``__init__``
 loads a submodule only when a name from it is asked for.  A fresh
 interpreter that imports ``repro.cli`` — or what ``repro build`` and the
 table-serving subcommands run — must therefore not have loaded the live
-write path, the simulator or the server.
+write path, the simulator or the server.  A read-only server does not
+load the live write path either, and building the CLI parser does not
+load the static analyzer's rules.
 """
 
 from __future__ import annotations
@@ -29,16 +31,20 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT_DIRS = ("bench", "benchmarks", "examples")
 
-#: The live write path, the simulator and the server: none of the entry
-#: modules below runs them.
-NOT_LOADED = (
+#: The live write path.
+WRITE_PATH = (
     "repro.inventory.live",
     "repro.inventory.wal",
     "repro.inventory.memtable",
     "repro.inventory.maintenance",
-    "repro.world.simulator",
-    "repro.server",
 )
+
+#: The live write path, the simulator and the server: none of the
+#: subcommand entry modules below runs them.
+NOT_LOADED = (*WRITE_PATH, "repro.world.simulator", "repro.server")
+
+#: The static analyzer's rules and what only they use.
+ANALYZER = ("repro.analysis.rules", "repro.analysis.project", "repro.analysis.cfg")
 
 
 def _repro_imports() -> list[tuple[str, int, str, str | None]]:
@@ -94,28 +100,52 @@ def test_every_script_import_resolves():
 
 
 @pytest.mark.parametrize(
-    "entry",
+    ("code", "entry", "forbidden"),
     [
-        "repro.cli",
-        "repro.pipeline.run",  # repro build
-        "repro.inventory.backend",  # repro query / render
+        pytest.param("import repro.cli", "repro.cli", NOT_LOADED, id="repro.cli"),
+        pytest.param(  # repro build
+            "import repro.pipeline.run", "repro.pipeline.run", NOT_LOADED,
+            id="repro.pipeline.run",
+        ),
+        pytest.param(  # repro query / render
+            "import repro.inventory.backend", "repro.inventory.backend", NOT_LOADED,
+            id="repro.inventory.backend",
+        ),
+        pytest.param(  # repro serve --inventory
+            "import repro.server.server", "repro.server.service", WRITE_PATH,
+            id="repro.server.server",
+        ),
+        pytest.param(  # every subcommand builds the parser, lint flags included
+            "from repro.cli import _build_parser; _build_parser()",
+            "repro.analysis.runner", ANALYZER,
+            id="cli-parser",
+        ),
     ],
 )
-def test_import_loads_no_subcommand_internals(entry):
-    code = (
-        f"import sys, {entry}; "
-        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
+def test_import_loads_no_subcommand_internals(code, entry, forbidden):
+    loaded = _loaded_after(code)
+    assert entry in loaded
+    hit = sorted(
+        name
+        for name in loaded
+        if any(name == bad or name.startswith(bad + ".") for bad in forbidden)
     )
+    assert not hit, hit
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [
+            sys.executable,
+            "-c",
+            f"import sys; {code}; "
+            "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))",
+        ],
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True,
         text=True,
         check=False,
     )
     assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
-    assert entry in loaded
-    assert not loaded.intersection(NOT_LOADED), sorted(
-        loaded.intersection(NOT_LOADED)
-    )
+    return set(result.stdout.split())

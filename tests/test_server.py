@@ -932,9 +932,6 @@ class TestInlineDispatch:
         return path
 
     def test_inline_types_by_backend(self, table, tmp_path):
-        from repro.server.router import ShardedInventory
-        from repro.server.sharding import Placement, ShardSpec
-
         with SSTableInventory(table) as backend:
             assert InventoryService(backend).inline_types == {"ping"} | self.POINT_READS
         assert InventoryService(_tiny_inventory()).inline_types == (
@@ -943,12 +940,6 @@ class TestInlineDispatch:
         with LiveInventory(tmp_path / "live", resolution=6,
                            background_maintenance=False) as live:
             assert InventoryService(live).inline_types == {"ping"}
-        placement = Placement(
-            version=1, resolution=6, vnodes=8,
-            shards=(ShardSpec("a", "a.sst", 0),),
-        )
-        with ShardedInventory(placement, {"a": [("127.0.0.1", 9)]}) as sharded:
-            assert InventoryService(sharded).inline_types == {"ping"}
 
     def test_point_reads_run_on_the_loop_thread(self, table, cell_probes):
         big = INLINE_MULTI_GET_KEYS + 1
