@@ -11,9 +11,9 @@ ownership escapes.
 
 What counts as an acquisition (resolved through the import map, so
 aliasing cannot hide one): ``open(...)``, ``fsio.open_file(...)``,
-``socket.create_connection(...)`` / ``socket.socket(...)``, the
-``SSTableReader`` / ``WalWriter`` constructors, and refcount/pool
-``*.acquire(...)`` calls — assigned to a plain local name.
+``socket.create_connection(...)`` / ``socket.socket(...)`` and the
+``SSTableReader`` / ``WalWriter`` constructors — assigned to a plain
+local name.
 
 Ownership **escapes** (the function is no longer responsible) when the
 name is returned or yielded, assigned onward (attribute, container,
@@ -132,8 +132,6 @@ def _acquiring_call(module: Module, value: ast.expr) -> str | None:
     name = terminal_name(value.func)
     if name in _ACQUIRE_CLASSES:
         return f"a {name}"
-    if name == "acquire" and isinstance(value.func, ast.Attribute):
-        return "a refcounted/pooled acquire()"
     return None
 
 

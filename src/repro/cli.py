@@ -57,6 +57,11 @@ if TYPE_CHECKING:
     from repro.inventory.backend import SSTableInventory
     from repro.world.fleet import Vessel
 
+#: ``ingest --follow``: seconds between polls of the feed.
+INGEST_POLL_S = 2.0
+#: ``ingest``: per-request client timeout in seconds.
+INGEST_TIMEOUT_S = 10.0
+
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
@@ -118,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="input SSTable paths")
     compact.add_argument("--out", type=Path, required=True,
                          help="compacted SSTable path (must not be an input)")
-    compact.add_argument("--block-size", type=int, default=16 * 1024)
     compact.set_defaults(handler=_cmd_compact)
 
     query = commands.add_parser("query", help="point-query an inventory")
@@ -214,16 +218,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--limit", type=int, default=None,
                         help="stop after this many records")
     ingest.add_argument("--follow", action="store_true",
-                        help="keep tailing the feed for appended records "
-                             "(Ctrl-C to stop)")
-    ingest.add_argument("--poll", type=float, default=2.0,
-                        help="--follow: seconds between polls of the feed")
+                        help="keep tailing the feed for appended records, "
+                             f"polling every {INGEST_POLL_S:g} s (Ctrl-C to "
+                             "stop)")
     ingest.add_argument("--backpressure-retries", type=int, default=5,
                         help="retries (exponential backoff) when the "
                              "server answers ingest_backpressure before "
                              "giving up on a batch")
-    ingest.add_argument("--timeout", type=float, default=10.0,
-                        help="per-request client timeout in seconds")
     ingest.set_defaults(handler=_cmd_ingest)
 
     trace = commands.add_parser(
@@ -357,7 +358,7 @@ def _cmd_build(args) -> int:
 def _cmd_compact(args) -> int:
     from repro.inventory.compaction import merge_tables
 
-    entries = merge_tables(args.inputs, args.out, block_size=args.block_size)
+    entries = merge_tables(args.inputs, args.out)
     print(
         f"compacted {len(args.inputs)} tables "
         f"({', '.join(str(p) for p in args.inputs)}) into {args.out}: "
@@ -597,7 +598,9 @@ def _cmd_ingest(args) -> int:
         raise AssertionError("unreachable")
 
     try:
-        with InventoryClient(args.host, args.port, timeout=args.timeout) as client:
+        with InventoryClient(
+            args.host, args.port, timeout=INGEST_TIMEOUT_S
+        ) as client:
             while True:
                 batch: list[dict] = []
                 already = sent
@@ -627,7 +630,7 @@ def _cmd_ingest(args) -> int:
                     break
                 if not args.follow:
                     break
-                time.sleep(args.poll)
+                time.sleep(INGEST_POLL_S)
     except KeyboardInterrupt:
         pass
     except (ServerError, OSError) as exc:

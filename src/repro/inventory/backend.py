@@ -18,7 +18,7 @@ to where the summaries live:
   table through an LRU :class:`BlockCache` (hit/miss/eviction counters in
   an :class:`~repro.engine.metrics.CounterSet`), using the table's
   ``.routes`` sidecar so ``route_cells`` needs no full scan, and handing
-  a checksum-verified table's stored value bytes to ``get_encoded``
+  the table's checksum-verified stored value bytes to ``get_encoded``
   without a decode;
 - the in-memory :class:`~repro.inventory.store.Inventory` conforms by
   inheriting the mixin.
@@ -41,7 +41,6 @@ from typing import Protocol, runtime_checkable
 from repro.engine.metrics import CounterSet
 from repro.hexgrid import get_resolution, latlng_to_cell
 from repro.inventory import sstable
-from repro.inventory.codec import encode
 from repro.inventory.keys import GroupKey, GroupingSet
 from repro.inventory.summary import CellSummary
 from repro.obs import registry
@@ -130,11 +129,12 @@ class InventoryQueryMixin:
         raise NotImplementedError
 
     def get_encoded(self, key: GroupKey) -> bytes | None:
-        """Exact-key point lookup as codec bytes — what the server puts
-        on the wire.  This default encodes :meth:`get`'s answer; a
-        backend that already holds the bytes returns them instead."""
+        """Exact-key point lookup as the summary's stored bytes — what the
+        server puts on the wire.  This default encodes :meth:`get`'s
+        answer; a backend that already holds the bytes returns them
+        instead."""
         summary = self.get(key)
-        return None if summary is None else encode(summary.to_dict())
+        return None if summary is None else summary.encode()
 
     def summary_at(
         self,
@@ -365,18 +365,10 @@ class SSTableInventory(InventoryQueryMixin):
         return sstable._decode_summary(value_raw, self._path, block_index)
 
     def get_encoded(self, key: GroupKey) -> bytes | None:
-        """Point lookup as the stored value bytes, with no codec work on
-        a v3 table: its block checksum was verified when the block was
-        read.  A v2 table has no checksum to trust, so its value must
-        decode before it is served (damage raises
-        :class:`~repro.inventory.sstable.CorruptionError`)."""
+        """Point lookup as the stored value bytes, with no codec work: the
+        block checksum was verified when the block was read."""
         found = self._lookup(key)
-        if found is None:
-            return None
-        value_raw, block_index = found
-        if self._reader.checksum_algo is None:
-            sstable._decode_summary(value_raw, self._path, block_index)
-        return value_raw
+        return None if found is None else found[0]
 
     def route_cells(
         self, origin: str, destination: str, vessel_type: str

@@ -35,7 +35,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-from repro.inventory.codec import encode
 from repro.inventory.sstable import (
     SSTableReader,
     SSTableWriter,
@@ -144,19 +143,15 @@ class CompactionPolicy:
         ]
 
 
-def merge_tables(
-    inputs: list[str | Path],
-    output: str | Path,
-    block_size: int = 16 * 1024,
-) -> int:
+def merge_tables(inputs: list[str | Path], output: str | Path) -> int:
     """Compact several inventory tables into one; returns the entry count.
 
     Keys appearing in several inputs have their summaries merged (the
     summary monoid, oldest input first); each input must itself be a
-    valid table.  A key found in only one checksum-verified (v3) input is
-    copied as its stored value bytes: the codec roundtrip is byte-exact,
-    so the output is the table a decode/re-encode of every entry would
-    write, and only colliding keys pay for decoding.  The output
+    valid table.  A key found in only one input is copied as its
+    checksum-verified stored value bytes: the summary roundtrip is
+    byte-exact, so the output is the table a decode/re-encode of every
+    entry would write, and only colliding keys pay for decoding.  The output
     path must not name any input: the output file is opened for writing
     up front, so compacting a table onto itself would silently destroy it.
     """
@@ -175,7 +170,7 @@ def merge_tables(
             readers.append(SSTableReader(path))
         streams = [_stored_entries(reader, index) for index, reader in enumerate(readers)]
         entries = 0
-        with SSTableWriter(output, block_size=block_size) as writer:
+        with SSTableWriter(output) as writer:
             # Equal keys arrive oldest input first (the index tie-break).
             for key_raw, run in groupby(heapq.merge(*streams), key=itemgetter(0)):
                 _, index, value_raw, block_index = next(run)
@@ -187,7 +182,7 @@ def merge_tables(
                         summary.merge(
                             _decode_summary(other_raw, readers[index].path, block_index)
                         )
-                    value_raw = encode(summary.to_dict())
+                    value_raw = summary.encode()
                 writer.add_encoded(key, value_raw)
                 entries += 1
         return entries
@@ -200,9 +195,6 @@ def _stored_entries(
     reader: SSTableReader, index: int
 ) -> Iterator[tuple[bytes, int, bytes, int]]:
     """One input's entries as merge items: raw key, input index, stored
-    value, block index.  A v2 value is decoded and re-encoded here —
-    without block checksums, decoding is its only damage check."""
+    value, block index."""
     for key_raw, value_raw, block_index in reader.scan_raw():
-        if reader.version != 3:
-            value_raw = encode(_decode_summary(value_raw, reader.path, block_index).to_dict())
         yield key_raw, index, value_raw, block_index

@@ -78,7 +78,6 @@ from typing import Any
 from repro.engine.metrics import CounterSet
 from repro.inventory import fsio, sstable, wal
 from repro.inventory.backend import InventoryQueryMixin, SSTableInventory
-from repro.inventory.codec import decode, encode
 from repro.inventory.compaction import (
     DEFAULT_TIER_BASE_BYTES,
     DEFAULT_TIER_FANOUT,
@@ -187,7 +186,7 @@ def _copy_summary(summary: CellSummary) -> CellSummary:
     """A deep, byte-exact copy via the storage codec — through the same
     bytes a flush writes, which is what makes pre- and post-flush
     answers byte-identical."""
-    return CellSummary.from_dict(decode(encode(summary.to_dict())))  # type: ignore[arg-type]
+    return CellSummary.decode(summary.encode())
 
 
 class LiveInventory(InventoryQueryMixin):
@@ -269,7 +268,7 @@ class LiveInventory(InventoryQueryMixin):
             self._write_manifest()
         else:
             self.resolution = int(manifest["resolution"])
-            self.config = _config_from_manifest(manifest["summary"])
+            self.config = SummaryConfig.from_dict(manifest["summary"])
             self._tables = [str(name) for name in manifest["tables"]]
             self._wal_floor = int(manifest["wal_floor"])
             self._next_table = int(manifest["next_table"])
@@ -348,7 +347,7 @@ class LiveInventory(InventoryQueryMixin):
         manifest = {
             "version": _MANIFEST_VERSION,
             "resolution": self.resolution,
-            "summary": _config_to_manifest(self.config),
+            "summary": self.config.to_dict(),
             "tables": list(self._tables if tables is None else tables),
             "wal_floor": self._wal_floor if wal_floor is None else wal_floor,
             "next_table": self._next_table if next_table is None else next_table,
@@ -751,7 +750,7 @@ class LiveInventory(InventoryQueryMixin):
             view = self._view
             self._retain_locked(view)
             summary = self._active.get(key)
-            live_payload = None if summary is None else encode(summary.to_dict())
+            live_payload = None if summary is None else summary.encode()
         try:
             acc: CellSummary | None = None
             for table in view.tables:
@@ -764,7 +763,7 @@ class LiveInventory(InventoryQueryMixin):
                     copy = _copy_summary(summary)
                     acc = copy if acc is None else acc.merge(copy)
             if live_payload is not None:
-                live = CellSummary.from_dict(decode(live_payload))  # type: ignore[arg-type]
+                live = CellSummary.decode(live_payload)
                 acc = live if acc is None else acc.merge(live)
             return acc
         finally:
@@ -804,7 +803,7 @@ class LiveInventory(InventoryQueryMixin):
             view = self._view
             self._retain_locked(view)
             active = [
-                (key, encode(summary.to_dict()))
+                (key, summary.encode())
                 for key, summary in self._active.items()
             ]
         try:
@@ -817,7 +816,7 @@ class LiveInventory(InventoryQueryMixin):
         finally:
             self._release(view)
         for key, payload in active:
-            fold(key, CellSummary.from_dict(decode(payload)))  # type: ignore[arg-type]
+            fold(key, CellSummary.decode(payload))
         for key in sorted(merged, key=sstable._key_bytes):
             yield key, merged[key]
 
@@ -838,7 +837,7 @@ class LiveInventory(InventoryQueryMixin):
             view = self._view
             self._retain_locked(view)
             active = [
-                (cell, encode(summary.to_dict()))
+                (cell, summary.encode())
                 for cell, summary in self._active.route_groups(
                     origin, destination, vessel_type
                 ).items()
@@ -857,7 +856,7 @@ class LiveInventory(InventoryQueryMixin):
         finally:
             self._release(view)
         for cell, payload in active:
-            fold(cell, CellSummary.from_dict(decode(payload)))  # type: ignore[arg-type]
+            fold(cell, CellSummary.decode(payload))
         return merged
 
     # -- introspection -------------------------------------------------------------
@@ -978,26 +977,6 @@ def _read_manifest(directory: Path) -> dict[str, Any] | None:
     if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
         raise CorruptionError("unsupported manifest version", path=path)
     return manifest
-
-
-def _config_to_manifest(config: SummaryConfig) -> dict[str, Any]:
-    return {
-        "hll": config.hll_precision,
-        "td": config.tdigest_compression,
-        "topn": config.topn_capacity,
-        "bin": config.direction_bin_deg,
-        "extra_names": list(config.extra_names),
-    }
-
-
-def _config_from_manifest(data: dict[str, Any]) -> SummaryConfig:
-    return SummaryConfig(
-        hll_precision=int(data["hll"]),
-        tdigest_compression=float(data["td"]),
-        topn_capacity=int(data["topn"]),
-        direction_bin_deg=float(data["bin"]),
-        extra_names=tuple(data.get("extra_names", ())),
-    )
 
 
 def _write_memtable(path: Path, memtable: Memtable) -> None:

@@ -53,9 +53,11 @@ class IngestRecord:
     """One live position report with optional trip enrichment.
 
     ``heading`` is ``None`` for the transponder's 511 sentinel; trip
-    fields are ``None`` for records outside any detected trip (they
-    then feed only the CELL and CELL_TYPE grouping sets, exactly like
-    the batch pipeline).
+    fields are ``None`` for records outside any detected trip.  Such a
+    record still feeds the CELL and CELL_TYPE grouping sets here,
+    whereas the batch pipeline drops it
+    (:func:`~repro.pipeline.trips.trip_spans` keeps only records inside a
+    complete port-to-port trip).
     """
 
     mmsi: int

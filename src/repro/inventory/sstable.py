@@ -13,7 +13,7 @@ classic SSTable layout:
 - **data blocks** hold consecutive ``(key, value)`` entries in key order,
   each entry length-prefixed; blocks close at ~``block_size`` bytes;
 - the **index** records each block's first key, file offset, length and
-  (format v3) checksum;
+  checksum;
 - the **footer** locates the index and carries entry/block counts, the
   checksum algorithm id, the index checksum and its own checksum.
 
@@ -21,11 +21,13 @@ A point lookup binary-searches the in-memory index (one entry per block),
 reads one block, and scans at most one block's entries — ~10 entries
 for the default 16 KiB blocks, versus millions of raw records.
 
-**Format v3 (``POLINV3``)** is self-verifying: every data block, the
-index and the footer carry a CRC (see :mod:`repro.inventory.checksum`),
-so damage anywhere in a table surfaces as a typed
-:class:`CorruptionError` at block granularity — never a silently wrong
-summary.  v2 tables (``POLINV2``, no checksums) remain readable.
+The format (``POLINV3``, format version 3) is self-verifying: every data
+block, the index and the footer carry a CRC (see
+:mod:`repro.inventory.checksum`), so damage anywhere in a table surfaces
+as a typed :class:`CorruptionError` at block granularity — never a
+silently wrong summary.  A file with any other magic (the unchecksummed
+``POLINV2`` of earlier releases included) is not a table:
+:class:`SSTableError`.
 
 **Writes are crash-safe**: the writer stages the table at
 ``<path>.tmp`` in the same directory, fsyncs, renames into place and
@@ -37,7 +39,8 @@ Keys are :class:`~repro.inventory.keys.GroupKey`, serialised so that the
 raw-byte order agrees exactly with ``GroupKey.sort_key`` (the property
 test in ``tests/test_inventory_backend.py`` pins this; the sparse index's
 binary search silently corrupts lookups if they ever diverge); values are
-codec-encoded summary payloads.
+the summaries' stored bytes (:meth:`CellSummary.encode
+<repro.inventory.summary.CellSummary.encode>`).
 
 Next to each table the writer persists a **route-index sidecar**
 (``<table>.routes``): the (origin, destination, vessel type) → cells
@@ -76,24 +79,19 @@ SPAN_READ_BLOCK = registry.register_span(
     "(attrs: block index, bytes; cache hits never reach this)",
 )
 
-#: The format revision new tables are written with.
+#: The table format revision (the build manifest records it).
 FORMAT_VERSION = 3
 
-_MAGIC_V2 = b"POLINV2\n"
-_MAGIC_V3 = b"POLINV3\n"
-_MAGIC = _MAGIC_V3  # what new tables carry
-_MAGIC_LEN = 8
+_MAGIC = b"POLINV3\n"
+_MAGIC_LEN = len(_MAGIC)
 
-_FOOTER_V2_FMT = ">QQQ8s"  # index offset, entry count, block count, magic
-_FOOTER_V2_SIZE = struct.calcsize(_FOOTER_V2_FMT)
 # index offset, entry count, block count, checksum algo, index crc,
 # footer crc, magic.  The footer crc covers every preceding field.
-_FOOTER_V3_FMT = ">QQQBII8s"
-_FOOTER_V3_SIZE = struct.calcsize(_FOOTER_V3_FMT)
-_FOOTER_V3_CRC_SCOPE = struct.calcsize(">QQQBI")
+_FOOTER_FMT = ">QQQBII8s"
+_FOOTER_SIZE = struct.calcsize(_FOOTER_FMT)
+_FOOTER_CRC_SCOPE = struct.calcsize(">QQQBI")
 
-_ROUTES_MAGIC_V1 = b"POLRIX1\n"
-_ROUTES_MAGIC_V2 = b"POLRIX2\n"
+_ROUTES_MAGIC = b"POLRIX2\n"
 _ROUTES_SUFFIX = ".routes"
 
 # Order-preserving string framing: NUL terminator, embedded NULs escaped
@@ -185,7 +183,7 @@ def route_index_path(path: str | Path) -> Path:
 
 def _table_tag(table_path: Path) -> bytes:
     """A 12-byte identity of the table file a sidecar belongs to: file
-    size + (v3) footer checksum.  A sidecar whose tag does not match its
+    size + footer checksum.  A sidecar whose tag does not match its
     table — e.g. the table rename was lost to a crash after the sidecar
     landed — is treated as missing and rebuilt, never trusted."""
     try:
@@ -193,7 +191,7 @@ def _table_tag(table_path: Path) -> bytes:
         with open(table_path, "rb") as handle:
             magic = handle.read(_MAGIC_LEN)
             footer_crc = 0
-            if magic == _MAGIC_V3 and size >= _FOOTER_V3_SIZE:
+            if magic == _MAGIC and size >= _FOOTER_SIZE:
                 handle.seek(size - _MAGIC_LEN - 4)
                 (footer_crc,) = struct.unpack(">I", handle.read(4))
     except (OSError, struct.error):
@@ -222,7 +220,7 @@ def write_route_index(
     sidecar = route_index_path(table_path)
     fsio.atomic_write_bytes(
         sidecar,
-        _ROUTES_MAGIC_V2
+        _ROUTES_MAGIC
         + struct.pack(">BI", _checksum.DEFAULT_ALGO, crc)
         + payload,
     )
@@ -242,24 +240,19 @@ def read_route_index(
         raw = sidecar.read_bytes()
     except OSError:
         return None
-    if raw.startswith(_ROUTES_MAGIC_V2):
-        header_len = len(_ROUTES_MAGIC_V2) + struct.calcsize(">BI")
-        if len(raw) < header_len + 12:
-            return None
-        algo, crc = struct.unpack_from(">BI", raw, len(_ROUTES_MAGIC_V2))
-        tagged = raw[header_len:]
-        try:
-            if _checksum.checksum_fn(algo)(tagged) != crc:
-                return None
-        except ValueError:
-            return None
-        if tagged[:12] != _table_tag(table_path):
-            return None  # sidecar of a table that never (or no longer) exists
-        payload = tagged[12:]
-    elif raw.startswith(_ROUTES_MAGIC_V1):
-        payload = raw[len(_ROUTES_MAGIC_V1) :]
-    else:
+    header_len = len(_ROUTES_MAGIC) + struct.calcsize(">BI")
+    if not raw.startswith(_ROUTES_MAGIC) or len(raw) < header_len + 12:
         return None
+    algo, crc = struct.unpack_from(">BI", raw, len(_ROUTES_MAGIC))
+    tagged = raw[header_len:]
+    try:
+        if _checksum.checksum_fn(algo)(tagged) != crc:
+            return None
+    except ValueError:
+        return None
+    if tagged[:12] != _table_tag(table_path):
+        return None  # sidecar of a table that never (or no longer) exists
+    payload = tagged[12:]
     try:
         rows = decode(payload)
         index: dict[tuple[str, str, str], set[int]] = {}
@@ -286,27 +279,16 @@ class SSTableWriter:
     ``.routes`` sidecar.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        block_size: int = 16 * 1024,
-        version: int = FORMAT_VERSION,
-        checksum_algo: int | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, block_size: int = 16 * 1024) -> None:
         if block_size < 256:
             raise ValueError(f"block size too small: {block_size}")
-        if version not in (2, 3):
-            raise ValueError(f"unsupported table format version {version}")
         self._path = Path(path)
         self._temp = fsio.temp_path(self._path)
-        self._version = version
-        self._algo = (
-            _checksum.DEFAULT_ALGO if checksum_algo is None else checksum_algo
-        )
-        self._crc = _checksum.checksum_fn(self._algo)  # validates the id
+        self._algo = _checksum.DEFAULT_ALGO
+        self._crc = _checksum.checksum_fn(self._algo)
         self._handle = fsio.open_file(self._temp, "wb")
         try:
-            self._handle.write(_MAGIC_V3 if version == 3 else _MAGIC_V2)
+            self._handle.write(_MAGIC)
         except BaseException:
             # The constructor failed after staging was opened: clean up
             # here, because __exit__ will never run for this object.
@@ -316,7 +298,7 @@ class SSTableWriter:
         self._block_size = block_size
         self._block = bytearray()
         self._block_first_key: bytes | None = None
-        # first key, offset, length, crc (crc unused for v2)
+        # first key, offset, length, crc
         self._index: list[tuple[bytes, int, int, int]] = []
         self._route_index: dict[tuple[str, str, str], set[int]] = {}
         self._last_key: bytes | None = None
@@ -330,11 +312,12 @@ class SSTableWriter:
 
     def add(self, key: GroupKey, summary: CellSummary) -> None:
         """Append one entry (keys must be strictly increasing)."""
-        self.add_encoded(key, encode(summary.to_dict()))
+        self.add_encoded(key, summary.encode())
 
     def add_encoded(self, key: GroupKey, value_raw: bytes) -> None:
-        """Append one entry whose summary is already codec-encoded — the
-        bytes are stored as given (keys must be strictly increasing)."""
+        """Append one entry whose summary is already encoded
+        (:meth:`CellSummary.encode`) — the bytes are stored as given
+        (keys must be strictly increasing)."""
         key_raw = _key_bytes(key)
         if self._last_key is not None and key_raw <= self._last_key:
             raise ValueError("SSTable entries must be added in increasing key order")
@@ -360,40 +343,19 @@ class SSTableWriter:
         try:
             self._flush_block()
             index_offset = self._handle.tell()
-            if self._version == 3:
-                index_payload = encode(
-                    [list(entry) for entry in self._index]
-                )
-            else:
-                index_payload = encode(
-                    [[first, offset, length] for first, offset, length, _ in self._index]
-                )
+            index_payload = encode([list(entry) for entry in self._index])
             self._handle.write(struct.pack(">I", len(index_payload)))
             self._handle.write(index_payload)
-            footer_crc = 0
-            if self._version == 3:
-                fields = struct.pack(
-                    ">QQQBI",
-                    index_offset,
-                    self._entries,
-                    len(self._index),
-                    self._algo,
-                    self._crc(index_payload),
-                )
-                footer_crc = self._crc(fields)
-                self._handle.write(
-                    fields + struct.pack(">I", footer_crc) + _MAGIC_V3
-                )
-            else:
-                self._handle.write(
-                    struct.pack(
-                        _FOOTER_V2_FMT,
-                        index_offset,
-                        self._entries,
-                        len(self._index),
-                        _MAGIC_V2,
-                    )
-                )
+            fields = struct.pack(
+                ">QQQBI",
+                index_offset,
+                self._entries,
+                len(self._index),
+                self._algo,
+                self._crc(index_payload),
+            )
+            footer_crc = self._crc(fields)
+            self._handle.write(fields + struct.pack(">I", footer_crc) + _MAGIC)
             table_size = self._handle.tell()
             fsio.fsync_file(self._handle)
             self._handle.close()
@@ -457,11 +419,8 @@ class SSTableWriter:
 class SSTableReader:
     """Point lookups and ordered scans over a written table.
 
-    Reads both format v3 (checksummed; every block read is verified and
-    damage raises :class:`CorruptionError` naming the block) and legacy
-    v2 tables (no checksums; parse failures still surface as
-    :class:`CorruptionError`, but a bit flip that happens to decode can
-    go undetected — rebuild v2 tables to v3 via ``repro compact``).
+    Every block read is verified against its checksum, and damage
+    raises :class:`CorruptionError` naming the block.
 
     Besides :meth:`get`/:meth:`scan`, the reader exposes the block layer
     (:meth:`find_block`, :meth:`read_block`, :meth:`parse_entries`) so a
@@ -499,26 +458,13 @@ class SSTableReader:
     def _open(self) -> None:
         self._handle.seek(0, 2)
         size = self._handle.tell()
-        if size < _MAGIC_LEN + _FOOTER_V2_SIZE:
-            raise SSTableError(f"not an inventory table: {self._path}")
         self._handle.seek(0)
-        magic = self._handle.read(_MAGIC_LEN)
-        if magic == _MAGIC_V3:
-            self.version = 3
-        elif magic == _MAGIC_V2:
-            self.version = 2
-        else:
+        if self._handle.read(_MAGIC_LEN) != _MAGIC:
             raise SSTableError(f"bad magic in inventory table: {self._path}")
-        if self.version == 3:
-            self._open_v3(size)
-        else:
-            self._open_v2(size)
-
-    def _open_v3(self, size: int) -> None:
-        if size < _MAGIC_LEN + _FOOTER_V3_SIZE:
-            raise CorruptionError("truncated v3 footer", path=self._path)
-        self._handle.seek(size - _FOOTER_V3_SIZE)
-        footer = self._handle.read(_FOOTER_V3_SIZE)
+        if size < _MAGIC_LEN + _FOOTER_SIZE:
+            raise CorruptionError("truncated footer", path=self._path)
+        self._handle.seek(size - _FOOTER_SIZE)
+        footer = self._handle.read(_FOOTER_SIZE)
         (
             index_offset,
             self.entry_count,
@@ -527,8 +473,8 @@ class SSTableReader:
             index_crc,
             footer_crc,
             magic,
-        ) = struct.unpack(_FOOTER_V3_FMT, footer)
-        if magic != _MAGIC_V3:
+        ) = struct.unpack(_FOOTER_FMT, footer)
+        if magic != _MAGIC:
             raise SSTableError(
                 f"bad footer magic in inventory table: {self._path}"
             )
@@ -536,7 +482,7 @@ class SSTableReader:
             self._crc = _checksum.checksum_fn(self.checksum_algo)
         except ValueError as exc:
             raise CorruptionError(str(exc), path=self._path) from exc
-        if self._crc(footer[:_FOOTER_V3_CRC_SCOPE]) != footer_crc:
+        if self._crc(footer[:_FOOTER_CRC_SCOPE]) != footer_crc:
             raise CorruptionError("footer checksum mismatch", path=self._path)
         self._handle.seek(index_offset)
         (index_length,) = struct.unpack(">I", self._handle.read(4))
@@ -546,30 +492,12 @@ class SSTableReader:
             or self._crc(index_payload) != index_crc
         ):
             raise CorruptionError("index checksum mismatch", path=self._path)
-        raw_index = decode(index_payload)
-        self._load_index(raw_index, with_crc=True)
+        self._load_index(decode(index_payload))
 
-    def _open_v2(self, size: int) -> None:
-        self.checksum_algo = None
-        self._crc = None
-        self._handle.seek(size - _FOOTER_V2_SIZE)
-        index_offset, self.entry_count, self.block_count, magic = struct.unpack(
-            _FOOTER_V2_FMT, self._handle.read(_FOOTER_V2_SIZE)
-        )
-        if magic != _MAGIC_V2:
-            raise SSTableError(
-                f"bad footer magic in inventory table: {self._path}"
-            )
-        self._handle.seek(index_offset)
-        (index_length,) = struct.unpack(">I", self._handle.read(4))
-        raw_index = decode(self._handle.read(index_length))
-        self._load_index(raw_index, with_crc=False)
-
-    def _load_index(self, raw_index: object, with_crc: bool) -> None:
-        width = 4 if with_crc else 3
+    def _load_index(self, raw_index: object) -> None:
         if not isinstance(raw_index, list) or any(
             not isinstance(entry, list)
-            or len(entry) != width
+            or len(entry) != 4
             or not isinstance(entry[0], bytes)
             or not all(
                 isinstance(value, int) and value >= 0 for value in entry[1:]
@@ -579,11 +507,7 @@ class SSTableReader:
             raise CorruptionError("malformed block index", path=self._path)
         self._block_keys = [entry[0] for entry in raw_index]
         self._block_spans = [(entry[1], entry[2]) for entry in raw_index]
-        self._block_crcs = (
-            [entry[3] for entry in raw_index]
-            if with_crc
-            else [None] * len(raw_index)
-        )
+        self._block_crcs = [entry[3] for entry in raw_index]
 
     @property
     def path(self) -> Path:
@@ -618,8 +542,7 @@ class SSTableReader:
                     path=self._path,
                     block_index=block_index,
                 )
-            expected = self._block_crcs[block_index]
-            if expected is not None and self._crc(block) != expected:
+            if self._crc(block) != self._block_crcs[block_index]:
                 raise CorruptionError(
                     "block checksum mismatch",
                     path=self._path,
@@ -631,9 +554,8 @@ class SSTableReader:
     def parse_entries(block: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Yield each (raw key, raw value) entry of one block.
 
-        Malformed framing raises :class:`CorruptionError` — for v3
-        blocks the checksum makes that unreachable, for v2 blocks it is
-        the only line of defence.
+        Malformed framing raises :class:`CorruptionError` (a verified
+        block never has it; the check keeps a format bug typed).
         """
         position = 0
         length = len(block)
@@ -671,7 +593,7 @@ class SSTableReader:
 
     def scan_raw(self) -> Iterator[tuple[bytes, bytes, int]]:
         """Yield every (raw key, raw value, block index) in key order,
-        undecoded (v3 blocks are checksum-verified on read)."""
+        undecoded (blocks are checksum-verified on read)."""
         for block_index in range(len(self._block_spans)):
             block = self.read_block(block_index)
             for key_raw, value_raw in self.parse_entries(block):
@@ -712,7 +634,7 @@ def _decode_key(key_raw: bytes, path: Path, block_index: int) -> GroupKey:
 
 def _decode_summary(value_raw: bytes, path: Path, block_index: int) -> CellSummary:
     try:
-        return CellSummary.from_dict(decode(value_raw))
+        return CellSummary.decode(value_raw)
     except _PARSE_ERRORS as exc:
         raise CorruptionError(
             f"undecodable summary: {exc}", path=path, block_index=block_index
@@ -742,10 +664,7 @@ class TableCheck:
         status = "ok" if self.ok else "CORRUPT"
         out = [f"{self.path}: {status}"]
         if self.version is not None:
-            out.append(
-                f"  format v{self.version}"
-                + (f" ({self.checksum})" if self.checksum else " (no checksums)")
-            )
+            out.append(f"  format v{self.version} ({self.checksum})")
             out.append(
                 f"  entries {self.entries_readable:,}/{self.entry_count:,} "
                 f"readable, blocks "
@@ -769,9 +688,8 @@ def verify_table(path: str | Path) -> TableCheck:
         check.errors.append(str(exc))
         return check
     try:
-        check.version = reader.version
-        if reader.checksum_algo is not None:
-            check.checksum = _checksum.algo_name(reader.checksum_algo)
+        check.version = FORMAT_VERSION
+        check.checksum = _checksum.algo_name(reader.checksum_algo)
         check.entry_count = reader.entry_count
         check.block_count = reader.block_count
         last_key: bytes | None = None
@@ -821,8 +739,8 @@ class SalvageReport:
 
 
 def salvage_table(path: str | Path, output: str | Path) -> SalvageReport:
-    """Copy every readable entry of a damaged table into a fresh v3
-    table at ``output``, skipping blocks that fail their checksum or do
+    """Copy every readable entry of a damaged table into a fresh table
+    at ``output``, skipping blocks that fail their checksum or do
     not parse.  Routes recorded in the damaged table's sidecar are
     merged into the salvaged sidecar (stale cells are harmless: route
     lookups drop cells whose summaries no longer exist).
@@ -886,12 +804,10 @@ def file_checksum(path: str | Path, algo: int | None = None) -> int:
             value = crc_fn(chunk, value)
 
 
-def write_inventory(
-    inventory: "Inventory", path: str | Path, version: int = FORMAT_VERSION
-) -> int:
+def write_inventory(inventory: "Inventory", path: str | Path) -> int:
     """Persist a whole inventory; returns the number of entries written."""
     entries = sorted(inventory.items(), key=lambda kv: _key_bytes(kv[0]))
-    with SSTableWriter(path, version=version) as writer:
+    with SSTableWriter(path) as writer:
         for key, summary in entries:
             writer.add(key, summary)
     return len(entries)

@@ -27,7 +27,9 @@ approximation), which is what lets the engine build the inventory with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
+from repro.inventory import codec
 from repro.sketches.circular import CircularMoments
 from repro.sketches.histogram import DirectionHistogram
 from repro.sketches.hyperloglog import HyperLogLog
@@ -63,55 +65,97 @@ class SummaryConfig:
         if len(set(self.extra_names)) != len(self.extra_names):
             raise ValueError("extra feature names must be unique")
 
+    def to_dict(self) -> dict:
+        """The stored form: a summary's ``config`` entry and the live
+        directory manifest's ``summary`` entry."""
+        return {
+            "hll": self.hll_precision,
+            "td": self.tdigest_compression,
+            "topn": self.topn_capacity,
+            "bin": self.direction_bin_deg,
+            "extra_names": list(self.extra_names),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SummaryConfig":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            hll_precision=int(data["hll"]),
+            tdigest_compression=float(data["td"]),
+            topn_capacity=int(data["topn"]),
+            direction_bin_deg=float(data["bin"]),
+            extra_names=tuple(data.get("extra_names", ())),
+        )
+
 
 DEFAULT_SUMMARY_CONFIG = SummaryConfig()
+
+#: The sketch fields of a summary, in stored order: attribute, stored
+#: key, sketch class, and the :class:`SummaryConfig` knob its
+#: constructor takes (``None``: no argument).  The stored dict is
+#: ``config``, ``records``, these fields, then ``extras`` — the codec
+#: writes dicts in insertion order, so this order is part of the format.
+_SKETCH_FIELDS: tuple[tuple[str, str, Any, str | None], ...] = (
+    ("ships", "ships", HyperLogLog, "hll_precision"),
+    ("course", "course", CircularMoments, None),
+    ("course_bins", "course_bins", DirectionHistogram, "direction_bin_deg"),
+    ("heading", "heading", CircularMoments, None),
+    ("heading_bins", "heading_bins", DirectionHistogram, "direction_bin_deg"),
+    ("speed", "speed", MomentsSketch, None),
+    ("speed_quantiles", "speed_q", TDigest, "tdigest_compression"),
+    ("trips", "trips", HyperLogLog, "hll_precision"),
+    ("eto", "eto", MomentsSketch, None),
+    ("eto_quantiles", "eto_q", TDigest, "tdigest_compression"),
+    ("ata", "ata", MomentsSketch, None),
+    ("ata_quantiles", "ata_q", TDigest, "tdigest_compression"),
+    ("origins", "origins", SpaceSaving, "topn_capacity"),
+    ("destinations", "destinations", SpaceSaving, "topn_capacity"),
+    ("transitions", "transitions", SpaceSaving, "topn_capacity"),
+)
+_SKETCH_ATTRS = tuple(attr for attr, _, _, _ in _SKETCH_FIELDS)
+
+#: What bytes that are not a summary raise on their way through
+#: ``codec.decode`` and :meth:`CellSummary.from_dict` (a missing field, a
+#: wrong shape, an unhashable key, invalid UTF-8).
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
 class CellSummary:
     """Mergeable per-group statistics (one row of the global inventory)."""
 
-    __slots__ = (
-        "config",
-        "records",
-        "ships",
-        "course",
-        "course_bins",
-        "heading",
-        "heading_bins",
-        "speed",
-        "speed_quantiles",
-        "trips",
-        "eto",
-        "eto_quantiles",
-        "ata",
-        "ata_quantiles",
-        "origins",
-        "destinations",
-        "transitions",
-        "extras",
-    )
+    __slots__ = ("config", "records", *_SKETCH_ATTRS, "extras")
+
+    # Declared for static type checkers only: slots, construction, merge
+    # and the stored form all follow ``_SKETCH_FIELDS``.
+    config: SummaryConfig
+    records: int
+    ships: HyperLogLog
+    course: CircularMoments
+    course_bins: DirectionHistogram
+    heading: CircularMoments
+    heading_bins: DirectionHistogram
+    speed: MomentsSketch
+    speed_quantiles: TDigest
+    trips: HyperLogLog
+    eto: MomentsSketch
+    eto_quantiles: TDigest
+    ata: MomentsSketch
+    ata_quantiles: TDigest
+    origins: SpaceSaving
+    destinations: SpaceSaving
+    transitions: SpaceSaving
+    extras: dict[str, MomentsSketch]
 
     def __init__(self, config: SummaryConfig = DEFAULT_SUMMARY_CONFIG) -> None:
         self.config = config
         self.records = 0
-        self.ships = HyperLogLog(config.hll_precision)
-        self.course = CircularMoments()
-        self.course_bins = DirectionHistogram(config.direction_bin_deg)
-        self.heading = CircularMoments()
-        self.heading_bins = DirectionHistogram(config.direction_bin_deg)
-        self.speed = MomentsSketch()
-        self.speed_quantiles = TDigest(config.tdigest_compression)
-        self.trips = HyperLogLog(config.hll_precision)
-        self.eto = MomentsSketch()
-        self.eto_quantiles = TDigest(config.tdigest_compression)
-        self.ata = MomentsSketch()
-        self.ata_quantiles = TDigest(config.tdigest_compression)
-        self.origins = SpaceSaving(config.topn_capacity)
-        self.destinations = SpaceSaving(config.topn_capacity)
-        self.transitions = SpaceSaving(config.topn_capacity)
-        self.extras: dict[str, MomentsSketch] = {
-            name: MomentsSketch() for name in config.extra_names
-        }
+        for attr, _, sketch_cls, knob in _SKETCH_FIELDS:
+            setattr(
+                self,
+                attr,
+                sketch_cls() if knob is None else sketch_cls(getattr(config, knob)),
+            )
+        self.extras = {name: MomentsSketch() for name in config.extra_names}
 
     def update(
         self,
@@ -165,21 +209,8 @@ class CellSummary:
     def merge(self, other: "CellSummary") -> "CellSummary":
         """Fold another summary in; returns self for reduce-style chaining."""
         self.records += other.records
-        self.ships.merge(other.ships)
-        self.course.merge(other.course)
-        self.course_bins.merge(other.course_bins)
-        self.heading.merge(other.heading)
-        self.heading_bins.merge(other.heading_bins)
-        self.speed.merge(other.speed)
-        self.speed_quantiles.merge(other.speed_quantiles)
-        self.trips.merge(other.trips)
-        self.eto.merge(other.eto)
-        self.eto_quantiles.merge(other.eto_quantiles)
-        self.ata.merge(other.ata)
-        self.ata_quantiles.merge(other.ata_quantiles)
-        self.origins.merge(other.origins)
-        self.destinations.merge(other.destinations)
-        self.transitions.merge(other.transitions)
+        for attr in _SKETCH_ATTRS:
+            getattr(self, attr).merge(getattr(other, attr))
         for name, sketch in other.extras.items():
             if name in self.extras:
                 self.extras[name].merge(sketch)
@@ -217,68 +248,45 @@ class CellSummary:
         """Most frequent (next_cell, count) transitions."""
         return [(item.value, item.count) for item in self.transitions.top(n)]
 
+    # -- the stored form ------------------------------------------------------------
+
     def to_dict(self) -> dict:
-        """Serialisable state (used by the binary codec and JSON export)."""
-        return {
-            "config": {
-                "hll": self.config.hll_precision,
-                "td": self.config.tdigest_compression,
-                "topn": self.config.topn_capacity,
-                "bin": self.config.direction_bin_deg,
-                "extra_names": list(self.config.extra_names),
-            },
-            "records": self.records,
-            "ships": self.ships.to_dict(),
-            "course": self.course.to_dict(),
-            "course_bins": self.course_bins.to_dict(),
-            "heading": self.heading.to_dict(),
-            "heading_bins": self.heading_bins.to_dict(),
-            "speed": self.speed.to_dict(),
-            "speed_q": self.speed_quantiles.to_dict(),
-            "trips": self.trips.to_dict(),
-            "eto": self.eto.to_dict(),
-            "eto_q": self.eto_quantiles.to_dict(),
-            "ata": self.ata.to_dict(),
-            "ata_q": self.ata_quantiles.to_dict(),
-            "origins": self.origins.to_dict(),
-            "destinations": self.destinations.to_dict(),
-            "transitions": self.transitions.to_dict(),
-            "extras": {
-                name: sketch.to_dict() for name, sketch in self.extras.items()
-            },
+        """Serialisable state (what :meth:`encode` stores; also JSON export)."""
+        out = {"config": self.config.to_dict(), "records": self.records}
+        for attr, key, _, _ in _SKETCH_FIELDS:
+            out[key] = getattr(self, attr).to_dict()
+        out["extras"] = {
+            name: sketch.to_dict() for name, sketch in self.extras.items()
         }
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellSummary":
         """Reconstruct from :meth:`to_dict` output."""
-        cfg = data["config"]
-        summary = cls(
-            SummaryConfig(
-                hll_precision=int(cfg["hll"]),
-                tdigest_compression=float(cfg["td"]),
-                topn_capacity=int(cfg["topn"]),
-                direction_bin_deg=float(cfg["bin"]),
-                extra_names=tuple(cfg.get("extra_names", ())),
-            )
-        )
+        summary = cls.__new__(cls)
+        summary.config = SummaryConfig.from_dict(data["config"])
         summary.records = int(data["records"])
-        summary.ships = HyperLogLog.from_dict(data["ships"])
-        summary.course = CircularMoments.from_dict(data["course"])
-        summary.course_bins = DirectionHistogram.from_dict(data["course_bins"])
-        summary.heading = CircularMoments.from_dict(data["heading"])
-        summary.heading_bins = DirectionHistogram.from_dict(data["heading_bins"])
-        summary.speed = MomentsSketch.from_dict(data["speed"])
-        summary.speed_quantiles = TDigest.from_dict(data["speed_q"])
-        summary.trips = HyperLogLog.from_dict(data["trips"])
-        summary.eto = MomentsSketch.from_dict(data["eto"])
-        summary.eto_quantiles = TDigest.from_dict(data["eto_q"])
-        summary.ata = MomentsSketch.from_dict(data["ata"])
-        summary.ata_quantiles = TDigest.from_dict(data["ata_q"])
-        summary.origins = SpaceSaving.from_dict(data["origins"])
-        summary.destinations = SpaceSaving.from_dict(data["destinations"])
-        summary.transitions = SpaceSaving.from_dict(data["transitions"])
+        for attr, key, sketch_cls, _ in _SKETCH_FIELDS:
+            setattr(summary, attr, sketch_cls.from_dict(data[key]))
         summary.extras = {
             name: MomentsSketch.from_dict(payload)
             for name, payload in data.get("extras", {}).items()
         }
         return summary
+
+    def encode(self) -> bytes:
+        """The stored bytes: the codec encoding of :meth:`to_dict` — what
+        tables hold, what the server sends, what a flush writes."""
+        return codec.encode(self.to_dict())
+
+    @classmethod
+    def decode(cls, raw: bytes) -> "CellSummary":
+        """Inverse of :meth:`encode`.  Bytes that do not decode, or that
+        decode to something other than a summary (a missing field, a
+        wrong shape), raise :class:`~repro.inventory.codec.CodecError`."""
+        try:
+            return cls.from_dict(codec.decode(raw))  # type: ignore[arg-type]
+        except codec.CodecError:
+            raise
+        except _SHAPE_ERRORS as exc:
+            raise codec.CodecError(f"not a cell summary: {exc!r}") from exc

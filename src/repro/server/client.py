@@ -169,15 +169,6 @@ class InventoryClient:
             for raw in result.get("summaries", [])
         ]
 
-    def multi_get_encoded(self, keys: list[dict]) -> list[bytes | None]:
-        """:meth:`multi_get` without the codec: each summary as the
-        codec bytes the server sent, undecoded."""
-        result = self.request("multi_get", keys=list(keys))
-        return [
-            None if text is None else protocol.encoded_from_wire(text)
-            for text in result.get("summaries", [])
-        ]
-
     def ingest(self, records: list[dict]) -> dict:
         """Send a batch of live records to a ``--live`` server.
 

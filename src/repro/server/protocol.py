@@ -16,15 +16,15 @@ trivial and — crucially for a server — lets the reader reject an
 oversized frame from its first four bytes, before buffering a byte of
 payload.
 
-Cell summaries do not travel as raw JSON: their sketch state round-trips
-through the inventory's own binary codec
-(:mod:`repro.inventory.codec`), base64-wrapped into the JSON envelope.
-The codec is the format the SSTables persist, so a point answer's bytes
-*are* the stored value bytes: ``summary_at`` / ``multi_get`` forward a
-v3 table's value (block checksum already verified) with no codec work,
-and a v2 table's value once it has decoded cleanly.  A summary read back
-by a client is bit-identical to what an in-process backend returns — the
-server adds no serialisation of its own to trust.
+Cell summaries do not travel as raw JSON: they travel as their stored
+bytes (:meth:`CellSummary.encode
+<repro.inventory.summary.CellSummary.encode>`), base64-wrapped into the
+JSON envelope.  Those are the bytes the SSTables persist, so a point
+answer's bytes *are* the stored value bytes: ``summary_at`` /
+``multi_get`` forward a table's value (block checksum already verified)
+with no codec work.  A summary read back by a client is bit-identical to
+what an in-process backend returns — the server adds no serialisation
+of its own to trust.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import json
 import struct
 from collections.abc import Callable
 
-from repro.inventory.codec import CodecError, decode, encode
 from repro.inventory.summary import CellSummary
 
 #: Hard ceiling on one frame's payload, server and client side.
@@ -302,23 +301,16 @@ def encoded_to_wire(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def encoded_from_wire(text: str) -> bytes:
-    """The codec bytes inside a wire summary (base64 only, no codec)."""
-    try:
-        return base64.b64decode(text.encode("ascii"))
-    except ValueError as exc:
-        raise ProtocolError(ERR_BAD_FRAME, f"undecodable summary payload: {exc}")
-
-
 def summary_to_wire(summary: CellSummary) -> str:
-    """A cell summary as a base64 string of its codec encoding."""
-    return encoded_to_wire(encode(summary.to_dict()))
+    """A cell summary as a base64 string of its stored bytes."""
+    return encoded_to_wire(summary.encode())
 
 
 def summary_from_wire(text: str) -> CellSummary:
-    """Reconstruct a summary sent by :func:`summary_to_wire`."""
+    """Reconstruct a summary sent by :func:`summary_to_wire`; a payload
+    that is not a summary raises :class:`ProtocolError`."""
     try:
-        payload = decode(encoded_from_wire(text))
-    except CodecError as exc:
+        # Bad base64 and a CodecError are both ValueErrors.
+        return CellSummary.decode(base64.b64decode(text.encode("ascii")))
+    except ValueError as exc:
         raise ProtocolError(ERR_BAD_FRAME, f"undecodable summary payload: {exc}")
-    return CellSummary.from_dict(payload)

@@ -78,8 +78,11 @@ WITH_IS_SAFE = """\
 """
 
 OWNERSHIP_ESCAPES = """\
-    def connect(factory):
-        conn = factory.acquire()
+    import socket
+
+
+    def connect(address):
+        conn = socket.create_connection(address)
         return conn
 
 
@@ -89,11 +92,14 @@ OWNERSHIP_ESCAPES = """\
 """
 
 GUARDED_CLOSE = """\
-    def probe(pool):
+    import socket
+
+
+    def probe(pool, address):
         client = None
         try:
-            client = pool.acquire()
-            client.ping()
+            client = socket.create_connection(address)
+            client.sendall(b"ping")
         except Exception:
             if client is not None:
                 client.close()

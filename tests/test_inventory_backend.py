@@ -34,7 +34,7 @@ from repro.inventory import (
 from repro.inventory.keys import GroupingSet
 from repro.inventory.sstable import (
     CorruptionError,
-    SSTableReader,
+    SSTableWriter,
     _key_bytes,
     _key_from_bytes,
     read_route_index,
@@ -193,24 +193,24 @@ def test_summary_at_agrees(backends):
                 assert a.speed.mean == pytest.approx(b.speed.mean)
 
 
-def test_v2_value_damage_is_typed_corruption(tmp_path):
-    """v2 blocks carry no checksum, so a damaged value is caught by its
-    decode — and must surface as storage corruption naming the table and
-    block, on both the object and the bytes lookup."""
+def test_undecodable_value_is_typed_corruption(tmp_path):
+    """A value that passes its block checksum but is not a summary (a
+    writer bug, not disk damage) must surface from a point lookup as
+    storage corruption naming the table and block."""
     path = tmp_path / "inv.sst"
-    write_inventory(_routeful_inventory(n_cells=5), path, version=2)
-    with SSTableReader(path) as reader:
-        key_raw, _, _ = next(reader.scan_raw())
-    payload = bytearray(path.read_bytes())
-    payload[8 + 6 + len(key_raw)] = ord("Z")  # the first value's type tag
-    path.write_bytes(bytes(payload))
-    key = _key_from_bytes(key_raw)
+    good, bad = GroupKey(cell=_cell(10.0, 10.0)), GroupKey(cell=_cell(20.0, 20.0))
+    with SSTableWriter(path) as writer:
+        for key, value in sorted(
+            [(good, _summary().encode()), (bad, b"Z")],
+            key=lambda entry: _key_bytes(entry[0]),
+        ):
+            writer.add_encoded(key, value)
     with SSTableInventory(path, resolution=6) as backend:
-        for lookup in (backend.get, backend.get_encoded):
-            with pytest.raises(CorruptionError) as excinfo:
-                lookup(key)
-            assert excinfo.value.path == path
-            assert excinfo.value.block_index == 0
+        assert backend.get(good).records == 3
+        with pytest.raises(CorruptionError) as excinfo:
+            backend.get(bad)
+    assert excinfo.value.path == path
+    assert excinfo.value.block_index == 0
 
 
 def test_summary_at_validates_arguments_on_disk_backend(backends):

@@ -1,7 +1,5 @@
 """Tests for SSTable compaction."""
 
-import struct
-
 import pytest
 
 from repro.hexgrid import latlng_to_cell
@@ -186,12 +184,12 @@ def groups(small_inventory):
     return items[:600]
 
 
-def _table(tmp_path, name, items, version=3):
+def _table(tmp_path, name, items):
     inventory = Inventory(resolution=6)
     for key, summary in items:
         inventory.put(key, summary)
     path = tmp_path / name
-    write_inventory(inventory, path, version=version)
+    write_inventory(inventory, path)
     return path
 
 
@@ -227,29 +225,17 @@ def test_raw_copy_single_input_is_byte_identical(tmp_path, groups):
     _assert_merge_matches_reference(tmp_path, [_table(tmp_path, "one.sst", groups)])
 
 
-def test_v2_inputs_take_the_decode_path(tmp_path, groups):
-    inputs = [
-        _table(tmp_path, "old.sst", groups[:400], version=2),
-        _table(tmp_path, "new.sst", groups[300:]),
-    ]
-    _assert_merge_matches_reference(tmp_path, inputs)
-
-
-def test_v2_undecodable_summary_raises_corruption(tmp_path):
-    cell = latlng_to_cell(10.0, 10.0, 6)
-    inventory = Inventory(resolution=6)
-    inventory.put(GroupKey(cell=cell), _summary(3))
+def test_undecodable_colliding_summary_raises_corruption(tmp_path):
+    # A value that passes its block checksum but is not a summary: a key
+    # in one input is copied as stored, so only a collision decodes it.
+    key = GroupKey(cell=latlng_to_cell(10.0, 10.0, 6))
+    good = _table(tmp_path, "good.sst", [(key, _summary(3))])
     bad = tmp_path / "bad.sst"
-    write_inventory(inventory, bad, version=2)
-    # v2 has no block checksums: replace the first entry's value type
-    # tag, so only decoding the value can notice.
-    data = bytearray(bad.read_bytes())
-    key_len, _ = struct.unpack_from(">HI", data, 8)
-    data[8 + 6 + key_len] = 0xEE
-    bad.write_bytes(bytes(data))
+    with SSTableWriter(bad) as writer:
+        writer.add_encoded(key, b"\xee")
     out = tmp_path / "out.sst"
     with pytest.raises(CorruptionError, match="undecodable summary"):
-        merge_tables([bad], out)
+        merge_tables([good, bad], out)
     assert not out.exists()
 
 

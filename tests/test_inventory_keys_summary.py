@@ -1,17 +1,19 @@
 """Tests for group keys and the CellSummary monoid."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.inventory.codec import decode, encode
+from repro.inventory.codec import encode
 from repro.inventory.keys import (
     ALL_GROUPING_SETS,
     GroupingSet,
     GroupKey,
     keys_for_record,
 )
+from repro.inventory.sstable import SSTableReader, write_inventory
 from repro.inventory.summary import CellSummary, SummaryConfig
 
 
@@ -196,8 +198,8 @@ class TestCellSummary:
         ),
     )
     def test_codec_roundtrip_is_byte_exact(self, records, split, config):
-        """``encode ∘ to_dict ∘ from_dict ∘ decode`` is the identity on
-        stored bytes — what lets the server answer with the stored value
+        """``CellSummary.decode`` then ``encode`` is the identity on
+        stored bytes, and ``encode`` is the codec of ``to_dict`` — what lets the server answer with the stored value
         bytes instead of decoding and re-encoding them, and lets
         compaction copy a value it does not merge."""
         left, right = CellSummary(config), CellSummary(config)
@@ -205,9 +207,9 @@ class TestCellSummary:
             _update(left if index < split else right, **record)
         left.merge(right)  # a merged summary, as compaction stores it
         for summary in (left, right):
-            stored = encode(summary.to_dict())
-            restored = CellSummary.from_dict(decode(stored))
-            assert encode(restored.to_dict()) == stored
+            stored = summary.encode()
+            assert stored == encode(summary.to_dict())
+            assert CellSummary.decode(stored).encode() == stored
 
     def test_percentiles_ordered(self):
         rng = random.Random(10)
@@ -216,3 +218,24 @@ class TestCellSummary:
             _update(summary, sog=rng.lognormvariate(2, 0.5))
         p10, p50, p90 = summary.speed_percentiles()
         assert p10 <= p50 <= p90
+
+
+#: SHA-256 over the small world's stored (key, value) entries in table
+#: order.  It pins the stored summary bytes (field order, key names,
+#: sketch state), not the file around them: block framing, index and
+#: checksums are outside it.
+SMALL_WORLD_ENTRIES_SHA256 = (
+    "49650fc7b01fd9be50bfa05e089ca720ebf76d03414dcd02186c4a7e670e4a89"
+)
+
+
+def test_stored_entries_are_pinned(small_result, tmp_path):
+    path = tmp_path / "inventory.sst"
+    write_inventory(small_result.inventory, path)
+    digest = hashlib.sha256()
+    with SSTableReader(path) as reader:
+        for key_raw, value_raw, _ in reader.scan_raw():
+            digest.update(key_raw)
+            digest.update(value_raw)
+            assert CellSummary.decode(value_raw).encode() == value_raw
+    assert digest.hexdigest() == SMALL_WORLD_ENTRIES_SHA256

@@ -32,9 +32,10 @@ from repro.inventory import (
     write_inventory,
 )
 from repro.hexgrid import cell_to_latlng, latlng_to_cell
+from repro.inventory.codec import CodecError, encode
 from repro.inventory.keys import GroupingSet
 from repro.inventory.live import LiveInventory
-from repro.inventory.sstable import SSTableReader, _key_from_bytes
+from repro.inventory.sstable import SSTableReader, SSTableWriter, _key_from_bytes
 from repro.inventory.summary import CellSummary
 from repro.server import (
     InventoryClient,
@@ -67,6 +68,12 @@ def _tiny_inventory(cells: int = 2) -> Inventory:
             GroupKey(cell=latlng_to_cell(lat, lon, 6)), summary
         )
     return inventory
+
+
+def _state_without_ships() -> dict:
+    state = CellSummary().to_dict()
+    del state["ships"]
+    return state
 
 
 class _SlowService:
@@ -149,6 +156,21 @@ class TestProtocol:
     def test_undecodable_summary_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.summary_from_wire("AAAA")
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"x": 1}, [1, 2], _state_without_ships()],
+        ids=["foreign-dict", "list", "missing-field"],
+    )
+    def test_non_summary_payload_is_a_bad_frame(self, value):
+        """Bytes that decode but are not a summary are the peer's bad
+        frame, never a bare KeyError/TypeError out of the client."""
+        raw = encode(value)
+        with pytest.raises(CodecError):
+            CellSummary.decode(raw)
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.summary_from_wire(base64.b64encode(raw).decode("ascii"))
+        assert excinfo.value.code == protocol.ERR_BAD_FRAME
 
 
 # -- equivalence against the in-process backend ----------------------------------
@@ -542,7 +564,7 @@ class TestCorruptionResponses:
     error response on a live connection — never a wrong answer, never a
     dead socket — and is counted for operators."""
 
-    @pytest.fixture(params=["v3-block-scribble", "v2-type-tag"])
+    @pytest.fixture(params=["v3-block-scribble", "v3-undecodable-value"])
     def corrupt_served(self, request, tmp_path):
         path = tmp_path / "inventory.sst"
         if request.param == "v3-block-scribble":
@@ -554,45 +576,46 @@ class TestCorruptionResponses:
             # query actually reads the damaged block).
             for offset in range(40, 90):
                 payload[offset] ^= 0xFF
+            path.write_bytes(bytes(payload))
             probe = cell_to_latlng(
                 next(key for key, _ in inventory.items()).cell
             )
+            query = "summary_at"
         else:
-            # A v2 table has no checksums: the damage (the first value's
-            # codec type tag turned into an unknown one) surfaces only
-            # when the value is decoded, and must still read as storage
-            # damage, not as the client's bad request.
-            write_inventory(_tiny_inventory(cells=40), path, version=2)
-            with SSTableReader(path) as reader:
-                key_raw, _, _ = next(reader.scan_raw())
-            payload = bytearray(path.read_bytes())
-            payload[8 + 6 + len(key_raw)] = ord("Z")  # magic, entry header, key
-            probe = cell_to_latlng(_key_from_bytes(key_raw).cell)
-        path.write_bytes(bytes(payload))
+            # A value that passes its block checksum but is not a summary
+            # (a writer bug, not disk damage): summary_at serves stored
+            # bytes as they are, so probe with a request the server
+            # decodes.  It must still read as storage damage, not as the
+            # client's bad request.
+            key = GroupKey(cell=latlng_to_cell(10.0, 10.0, 6))
+            with SSTableWriter(path) as writer:
+                writer.add_encoded(key, b"Z")
+            probe = cell_to_latlng(key.cell)
+            query = "top_destinations_at"
         with SSTableInventory(path, resolution=6, cache_blocks=8) as backend:
             service = InventoryService(backend)
             with ServerThread(service) as handle:
-                yield handle, probe
+                yield handle, probe, query
 
     def test_corruption_is_typed_and_connection_survives(self, corrupt_served):
-        handle, (lat, lon) = corrupt_served
+        handle, (lat, lon), query = corrupt_served
         with InventoryClient(*handle.address) as client:
             with pytest.raises(ServerError) as exc_info:
-                client.summary_at(lat, lon)
+                getattr(client, query)(lat, lon)
             assert exc_info.value.code == protocol.ERR_CORRUPTION
             # Same connection, next request: still alive, still typed.
             assert client.ping() is True
             with pytest.raises(ServerError) as exc_info:
-                client.summary_at(lat, lon)
+                getattr(client, query)(lat, lon)
             assert exc_info.value.code == protocol.ERR_CORRUPTION
 
     def test_corruption_is_counted(self, corrupt_served):
         from repro.server.metrics import CORRUPTION_TOTAL
 
-        handle, (lat, lon) = corrupt_served
+        handle, (lat, lon), query = corrupt_served
         with InventoryClient(*handle.address) as client:
             with pytest.raises(ServerError):
-                client.summary_at(lat, lon)
+                getattr(client, query)(lat, lon)
             counters = client.stats()["server"]["counters"]
         assert counters[CORRUPTION_TOTAL] == 1
         assert counters[f"server.errors.{protocol.ERR_CORRUPTION}"] == 1
@@ -638,11 +661,9 @@ class TestServedBytes:
     backend: what the byte-identity contracts (served == table, routed ==
     single-node) rest on once the served path stops re-encoding."""
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_table_serves_its_stored_bytes(self, small_inventory, tmp_path,
-                                           version):
+    def test_table_serves_its_stored_bytes(self, small_inventory, tmp_path):
         path = tmp_path / "inventory.sst"
-        write_inventory(small_inventory, path, version=version)
+        write_inventory(small_inventory, path)
         stored = _stored_values(path)
         miss = GroupKey(cell=latlng_to_cell(-55.0, -130.0, small_inventory.resolution))
         with SSTableInventory(path, cache_blocks=8) as backend:
@@ -1065,8 +1086,8 @@ class TestInlineDispatch:
                         while not stop.is_set():
                             # Undecoded: keeps this process's client-side
                             # decoding out of the server's stall.
-                            answers = client.multi_get_encoded(keys)
-                            assert len(answers) == len(keys)
+                            result = client.request("multi_get", keys=keys)
+                            assert len(result["summaries"]) == len(keys)
 
                 loader = threading.Thread(target=batches)
                 loader.start()
