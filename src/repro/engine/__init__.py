@@ -6,25 +6,23 @@ provides the operator algebra the pipeline code programs against, shaped
 after Spark's RDD API so the jobs read like the originals:
 
 - :class:`~repro.engine.context.Engine` — entry point: configuration
-  (partition count, scheduler, spill directory) and dataset creation.
+  (partition count, stage metrics) and dataset creation.
 - :class:`~repro.engine.dataset.Dataset` — an immutable, partitioned,
   lazily-evaluated collection with narrow transformations (``map``,
-  ``filter``, ``flat_map``, ``map_partitions``) and shuffle
-  transformations (``reduce_by_key``, ``combine_by_key``,
-  ``group_by_key``, ``join``, ``sort_by``, ``distinct``,
-  ``repartition``).
-- :mod:`~repro.engine.partitioner` — hash and range partitioners over a
+  ``filter``, ``flat_map``, ``map_partitions``, ``map_batches``,
+  ``map_values``) and shuffle transformations (``combine_by_key``,
+  ``group_by_key``).
+- :mod:`~repro.engine.partitioner` — the hash partitioner over a
   process-stable hash.
-- :mod:`~repro.engine.shuffle` — the all-to-all exchange, with optional
-  disk spill for outsize buckets.
-- :mod:`~repro.engine.scheduler` — serial, thread-pool and process-pool
-  execution backends.
+- :mod:`~repro.engine.shuffle` — the in-memory all-to-all exchange.
 - :mod:`~repro.engine.metrics` — per-stage instrumentation used by the
   Figure 3 stage-timing benchmark.
 
-Deliberate scope cuts versus Spark: no lineage-based fault tolerance (a
-single host has nothing to recover from), no SQL/catalyst layer, no
-broadcast variables (closures capture small tables directly).
+Deliberate scope cuts versus Spark: partitions run one after another in
+the caller's thread (on CPython, threads and forked workers measured no
+faster on this job; see DESIGN.md), no lineage-based fault tolerance or
+task retries, no disk spill, no SQL/catalyst layer, no broadcast
+variables (closures capture small tables directly).
 """
 
 import importlib
@@ -35,7 +33,7 @@ from typing import Any
 _EXPORTS = {
     "repro.engine.context": ("Engine", "EngineConfig"),
     "repro.engine.hashing": ("stable_hash",),
-    "repro.engine.partitioner": ("HashPartitioner", "RangePartitioner"),
+    "repro.engine.partitioner": ("HashPartitioner",),
 }
 
 

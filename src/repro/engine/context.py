@@ -1,15 +1,13 @@
 """The engine entry point: configuration and dataset creation.
 
 An :class:`Engine` plays the role of Spark's session/context: it owns the
-default partition count, the scheduler, the optional spill directory and
-the metrics recorder.  Use it as a context manager so worker pools shut
-down deterministically::
+partition count and the metrics recorder::
 
     with Engine(EngineConfig(num_partitions=8)) as engine:
         counts = (
             engine.parallelize(records)
-            .key_by(lambda r: r.mmsi)
-            .reduce_by_key(operator.add)
+            .map(lambda r: (r.mmsi, 1))
+            .combine_by_key(lambda v: v, operator.add, operator.add)
             .collect()
         )
 """
@@ -18,38 +16,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.engine.dataset import Dataset, _Source
 from repro.engine.metrics import MetricsRecorder
-from repro.engine.scheduler import make_scheduler
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine tunables.
 
-    :param num_partitions: default parallelism for sources and shuffles.
-    :param scheduler: 'serial' (reference), 'threads' or 'processes'.
-    :param max_workers: pool size for the parallel schedulers.
-    :param scheduler_retries: extra per-partition attempts for tasks
-        that raise (transient-fault tolerance; 0 = fail fast).
-    :param scheduler_backoff: seconds before the first retry, doubling
-        per attempt.
-    :param spill_dir: when set, shuffle buckets larger than
-        ``spill_threshold`` records spill to pickle files under this
-        directory.
-    :param spill_threshold: records per bucket before spilling.
+    :param num_partitions: partitions per source and per shuffle.
     :param collect_metrics: record per-stage timings and row counts.
     """
 
     num_partitions: int = 8
-    scheduler: str = "serial"
-    max_workers: int = 4
-    scheduler_retries: int = 0
-    scheduler_backoff: float = 0.05
-    spill_dir: str | Path | None = None
-    spill_threshold: int = 100_000
     collect_metrics: bool = False
 
     def __post_init__(self) -> None:
@@ -60,33 +40,21 @@ class EngineConfig:
 
 
 class Engine:
-    """Creates datasets and evaluates their DAGs."""
+    """Creates datasets; their actions evaluate them in the caller's
+    thread, one partition after another."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
         self.num_partitions = self.config.num_partitions
-        self.scheduler = make_scheduler(
-            self.config.scheduler,
-            self.config.max_workers,
-            retries=self.config.scheduler_retries,
-            backoff=self.config.scheduler_backoff,
-        )
-        self.spill_dir = Path(self.config.spill_dir) if self.config.spill_dir else None
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-        self.spill_threshold = self.config.spill_threshold
         self.metrics: MetricsRecorder | None = (
             MetricsRecorder() if self.config.collect_metrics else None
         )
 
-    def parallelize(
-        self, data: Iterable, num_partitions: int | None = None
-    ) -> Dataset:
+    def parallelize(self, data: Iterable) -> Dataset:
         """Create a dataset from an in-memory iterable, split into evenly
-        sized partitions."""
+        sized partitions (fewer when there are fewer records)."""
         records = list(data)
-        parts = num_partitions or self.num_partitions
-        parts = max(1, min(parts, max(1, len(records))))
+        parts = max(1, min(self.num_partitions, len(records)))
         size, extra = divmod(len(records), parts)
         partitions: list[list] = []
         start = 0
@@ -96,20 +64,8 @@ class Engine:
             start = end
         return _Source(self, partitions)
 
-    def empty(self) -> Dataset:
-        """An empty single-partition dataset."""
-        return _Source(self, [[]])
-
-    def _evaluate(self, dataset: Dataset) -> list[list]:
-        """Materialize a dataset (engine-internal; actions call this)."""
-        return dataset._materialize({})
-
-    def close(self) -> None:
-        """Release the scheduler's worker pool."""
-        self.scheduler.close()
-
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """Nothing to release: an engine holds no threads or files."""

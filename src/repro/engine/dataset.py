@@ -1,43 +1,53 @@
 """The Dataset: an immutable, partitioned, lazily evaluated collection.
 
-Transformations build a DAG; terminal actions (``collect``, ``count``,
-``reduce`` …) evaluate it.  Within one action, every node is materialized
-at most once (a memo table keyed by node identity); across actions a node
-recomputes unless explicitly ``persist()``-ed, mirroring Spark's contract.
+Transformations build a chain of nodes, each with at most one parent;
+terminal actions (``collect``, ``count``) evaluate it.  A node recomputes
+on every action unless explicitly ``persist()``-ed, mirroring Spark's
+contract.
 
-Narrow transformations (map/filter/flat_map/map_partitions) run one task
-per partition on the engine's scheduler.  Wide transformations shuffle
-through :func:`repro.engine.shuffle.exchange` and apply a reduce-side
-function per output partition, again on the scheduler.
+Narrow transformations (map/filter/flat_map/map_partitions/map_batches)
+run one task per partition, in partition order.  Wide transformations
+shuffle through :func:`repro.engine.shuffle.exchange` and apply a
+reduce-side function per output partition.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.engine.metrics import StageTimer
-from repro.engine.partitioner import HashPartitioner, RangePartitioner
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import exchange
+from repro.obs import registry
+from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.context import Engine
 
+#: One partition's task (one span per partition and stage).
+SPAN_PARTITION = registry.register_span(
+    "engine.partition", "one partition's task (attr: partition index)"
+)
+
+
+def _run(task: Callable[[int, list], list], partitions: Sequence[list]) -> list[list]:
+    """Apply ``task(index, partition)`` to every partition, in order."""
+    results = []
+    for index, partition in enumerate(partitions):
+        with obs.span(SPAN_PARTITION, index=index):
+            results.append(task(index, partition))
+    return results
+
 
 class Dataset:
-    """One node of the execution DAG.  Construct via ``Engine.parallelize``
-    or by transforming another dataset — never directly."""
+    """One node of the execution chain.  Construct via
+    ``Engine.parallelize`` or by transforming another dataset — never
+    directly."""
 
-    def __init__(
-        self,
-        engine: "Engine",
-        parents: tuple["Dataset", ...],
-        num_partitions: int,
-        label: str,
-    ) -> None:
+    def __init__(self, engine: "Engine", num_partitions: int, label: str) -> None:
         self.engine = engine
-        self.parents = parents
         self.num_partitions = num_partitions
         self.label = label
         self._persisted: list[list] | None = None
@@ -85,13 +95,11 @@ class Dataset:
         objects (a funnel stage's row counts stay comparable whichever
         representation flows through it).
         """
-        return _MapBatches(self, fn, label or f"map_batches({_name(fn)})")
-
-    def key_by(self, fn: Callable) -> "Dataset":
-        """Pair every element with a key: ``x -> (fn(x), x)``."""
-        return self.map_partitions(
-            lambda _, records: ((fn(x), x) for x in records),
-            label=f"key_by({_name(fn)})",
+        return _MapPartitions(
+            self,
+            lambda _, batches: map(fn, batches),
+            label or f"map_batches({_name(fn)})",
+            rows=_batch_rows,
         )
 
     def map_values(self, fn: Callable) -> "Dataset":
@@ -101,63 +109,13 @@ class Dataset:
             label=f"map_values({_name(fn)})",
         )
 
-    def flat_map_values(self, fn: Callable) -> "Dataset":
-        """Expand every (key, value) pair into (key, v') pairs."""
-        return self.map_partitions(
-            lambda _, records: (
-                (k, out) for k, v in records for out in fn(v)
-            ),
-            label=f"flat_map_values({_name(fn)})",
-        )
-
-    def union(self, other: "Dataset") -> "Dataset":
-        """Concatenate two datasets (partitions are concatenated, no
-        shuffle)."""
-        return _Union(self, other)
-
     # -- wide (shuffle) transformations ---------------------------------------
-
-    def partition_by(
-        self, partitioner: HashPartitioner | RangePartitioner | None = None,
-        key_fn: Callable | None = None,
-    ) -> "Dataset":
-        """Redistribute (key, value) pairs by key.
-
-        ``key_fn`` overrides how the routing key is derived (default: the
-        first element of each record).
-        """
-        partitioner = partitioner or HashPartitioner(self.engine.num_partitions)
-        extract = key_fn or (lambda record: record[0])
-        return _Shuffle(
-            self,
-            route=lambda record: partitioner.partition(extract(record)),
-            num_out=partitioner.num_partitions,
-            label="partition_by",
-        )
-
-    def repartition(self, num_partitions: int) -> "Dataset":
-        """Round-robin redistribution into ``num_partitions`` partitions."""
-        if num_partitions < 1:
-            raise ValueError(f"need at least one partition, got {num_partitions}")
-        return _Repartition(self, num_partitions)
-
-    def reduce_by_key(self, fn: Callable) -> "Dataset":
-        """Merge values per key with a commutative, associative function.
-
-        Combines map-side before the shuffle (the single most important
-        optimisation for skewed AIS data) and reduce-side after.
-        """
-        return self.combine_by_key(
-            create=lambda v: v, merge_value=fn, merge_combiners=fn,
-            label=f"reduce_by_key({_name(fn)})",
-        )
 
     def combine_by_key(
         self,
         create: Callable,
         merge_value: Callable,
         merge_combiners: Callable,
-        num_partitions: int | None = None,
         label: str | None = None,
     ) -> "Dataset":
         """The general aggregation: per key, ``create`` builds a combiner
@@ -165,7 +123,7 @@ class Dataset:
         map-side, and ``merge_combiners`` merges partial combiners
         reduce-side.  This is exactly the monoid contract the sketches
         implement."""
-        num_out = num_partitions or self.engine.num_partitions
+        num_out = self.engine.num_partitions
         partitioner = HashPartitioner(num_out)
 
         def map_side(_index: int, records: list) -> Iterator:
@@ -187,16 +145,15 @@ class Dataset:
             return list(merged.items())
 
         combined = self.map_partitions(map_side, label="map_side_combine")
-        shuffled = _Shuffle(
+        return _Shuffle(
             combined,
             route=lambda record: partitioner.partition(record[0]),
             num_out=num_out,
             label=label or "combine_by_key",
             post=reduce_side,
         )
-        return shuffled
 
-    def group_by_key(self, num_partitions: int | None = None) -> "Dataset":
+    def group_by_key(self) -> "Dataset":
         """Gather all values per key into a list.  Prefer
         :meth:`combine_by_key` with a mergeable summary whenever the
         per-key value count can be large."""
@@ -204,63 +161,8 @@ class Dataset:
             create=lambda v: [v],
             merge_value=lambda acc, v: (acc.append(v) or acc),
             merge_combiners=lambda a, b: a + b,
-            num_partitions=num_partitions,
             label="group_by_key",
         )
-
-    def distinct(self) -> "Dataset":
-        """Remove duplicate records (records must be stable-hashable)."""
-        from repro.engine.hashing import stable_hash
-
-        num_out = self.engine.num_partitions
-
-        def dedupe(_index: int, records: list) -> list:
-            seen = set()
-            output = []
-            for record in records:
-                if record not in seen:
-                    seen.add(record)
-                    output.append(record)
-            return output
-
-        deduped_local = self.map_partitions(dedupe, label="distinct_local")
-        shuffled = _Shuffle(
-            deduped_local,
-            route=lambda record: stable_hash(record) % num_out,
-            num_out=num_out,
-            label="distinct",
-            post=dedupe,
-        )
-        return shuffled
-
-    def sort_by(
-        self,
-        key: Callable,
-        ascending: bool = True,
-        num_partitions: int | None = None,
-    ) -> "Dataset":
-        """Total-order sort via range partitioning on a key sample."""
-        num_out = num_partitions or self.engine.num_partitions
-        return _SortBy(self, key, ascending, num_out)
-
-    def join(self, other: "Dataset", num_partitions: int | None = None) -> "Dataset":
-        """Inner hash join of (key, value) datasets → (key, (left, right))."""
-        return _Join(self, other, how="inner",
-                     num_partitions=num_partitions or self.engine.num_partitions)
-
-    def left_join(
-        self, other: "Dataset", num_partitions: int | None = None
-    ) -> "Dataset":
-        """Left outer join → (key, (left, right_or_None))."""
-        return _Join(self, other, how="left",
-                     num_partitions=num_partitions or self.engine.num_partitions)
-
-    def cogroup(
-        self, other: "Dataset", num_partitions: int | None = None
-    ) -> "Dataset":
-        """Group both sides by key → (key, (left_values, right_values))."""
-        return _Join(self, other, how="cogroup",
-                     num_partitions=num_partitions or self.engine.num_partitions)
 
     # -- persistence -----------------------------------------------------------
 
@@ -269,109 +171,25 @@ class Dataset:
         self._persist_requested = True
         return self
 
-    def unpersist(self) -> "Dataset":
-        """Drop any cached partitions."""
-        self._persist_requested = False
-        self._persisted = None
-        return self
-
     # -- actions ----------------------------------------------------------------
 
     def collect(self) -> list:
         """Materialize every record into one list."""
-        partitions = self.engine._evaluate(self)
-        return [record for partition in partitions for record in partition]
-
-    def collect_partitions(self) -> list[list]:
-        """Materialize and return the partition structure."""
-        return [list(p) for p in self.engine._evaluate(self)]
+        return [record for partition in self._materialize() for record in partition]
 
     def count(self) -> int:
         """Number of records."""
-        return sum(len(p) for p in self.engine._evaluate(self))
-
-    def take(self, n: int) -> list:
-        """The first ``n`` records in partition order."""
-        if n < 0:
-            raise ValueError(f"cannot take a negative number of records: {n}")
-        if n == 0:
-            return []
-        output: list = []
-        for partition in self.engine._evaluate(self):
-            for record in partition:
-                output.append(record)
-                if len(output) == n:
-                    return output
-        return output
-
-    def first(self):
-        """The first record; raises :class:`ValueError` when empty."""
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("first() on an empty dataset")
-        return taken[0]
-
-    def reduce(self, fn: Callable):
-        """Fold all records with an associative binary function."""
-        partials = []
-        for partition in self.engine._evaluate(self):
-            iterator = iter(partition)
-            try:
-                acc = next(iterator)
-            except StopIteration:
-                continue
-            for record in iterator:
-                acc = fn(acc, record)
-            partials.append(acc)
-        if not partials:
-            raise ValueError("reduce() on an empty dataset")
-        result = partials[0]
-        for partial in partials[1:]:
-            result = fn(result, partial)
-        return result
-
-    def aggregate(self, zero, seq_fn: Callable, comb_fn: Callable):
-        """Fold with distinct element/partial combiners (Spark's
-        ``aggregate``): ``seq_fn(acc, record)`` within a partition,
-        ``comb_fn(acc1, acc2)`` across partitions.  ``zero`` must be
-        copyable via ``seq_fn`` semantics — it is reused as the initial
-        accumulator of every partition, so it must not be mutated unless
-        ``seq_fn`` returns a fresh object."""
-        partials = []
-        for partition in self.engine._evaluate(self):
-            acc = zero
-            for record in partition:
-                acc = seq_fn(acc, record)
-            partials.append(acc)
-        result = zero
-        for partial in partials:
-            result = comb_fn(result, partial)
-        return result
-
-    def count_by_key(self) -> dict:
-        """Count records per key of (key, value) pairs."""
-        counts: dict = {}
-        for partition in self.engine._evaluate(self):
-            for key, _value in partition:
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def to_dict(self) -> dict:
-        """Collect (key, value) pairs into a dict (later keys win)."""
-        return dict(self.collect())
+        return sum(len(p) for p in self._materialize())
 
     # -- evaluation (engine-internal) ---------------------------------------------
 
-    def _compute(self, memo: dict) -> list[list]:
+    def _compute(self) -> list[list]:
         raise NotImplementedError
 
-    def _materialize(self, memo: dict) -> list[list]:
+    def _materialize(self) -> list[list]:
         if self._persisted is not None:
             return self._persisted
-        if id(self) in memo:
-            return memo[id(self)]
-        result = self._compute(memo)
-        memo[id(self)] = result
+        result = self._compute()
         if self._persist_requested:
             self._persisted = result
         return result
@@ -381,72 +199,40 @@ class _Source(Dataset):
     """Leaf node wrapping already-partitioned in-memory data."""
 
     def __init__(self, engine: "Engine", partitions: list[list]) -> None:
-        super().__init__(engine, (), len(partitions), "source")
+        super().__init__(engine, len(partitions), "source")
         self._partitions = partitions
 
-    def _compute(self, memo: dict) -> list[list]:
+    def _compute(self) -> list[list]:
         return self._partitions
 
 
 class _MapPartitions(Dataset):
-    def __init__(self, parent: Dataset, fn: Callable, label: str) -> None:
-        super().__init__(parent.engine, (parent,), parent.num_partitions, label)
+    """Narrow partition-at-a-time transform; ``rows`` counts a
+    partition's rows for the stage metrics."""
+
+    def __init__(
+        self,
+        parent: Dataset,
+        fn: Callable,
+        label: str,
+        rows: Callable[[list], int] = len,
+    ) -> None:
+        super().__init__(parent.engine, parent.num_partitions, label)
+        self._parent = parent
         self._fn = fn
+        self._rows = rows
 
-    def _compute(self, memo: dict) -> list[list]:
-        parent_parts = self.parents[0]._materialize(memo)
+    def _compute(self) -> list[list]:
+        parent_parts = self._parent._materialize()
         fn = self._fn
-        rows_in = sum(len(p) for p in parent_parts)
+        rows = self._rows
         with StageTimer(
-            self.engine.metrics, self.label, rows_in, len(parent_parts)
+            self.engine.metrics, self.label, sum(map(rows, parent_parts)),
+            len(parent_parts),
         ) as timer:
-            result = self.engine.scheduler.run(
-                lambda index, part: list(fn(index, part)), parent_parts
-            )
-            timer.rows_out = sum(len(p) for p in result)
+            result = _run(lambda index, part: list(fn(index, part)), parent_parts)
+            timer.rows_out = sum(map(rows, result))
         return result
-
-
-class _MapBatches(Dataset):
-    """Narrow batch-at-a-time transform; elements must be sized batches
-    (anything with ``__len__``), and stage row counts sum the batch
-    lengths instead of counting elements."""
-
-    def __init__(self, parent: Dataset, fn: Callable, label: str) -> None:
-        super().__init__(parent.engine, (parent,), parent.num_partitions, label)
-        self._fn = fn
-
-    def _compute(self, memo: dict) -> list[list]:
-        parent_parts = self.parents[0]._materialize(memo)
-        fn = self._fn
-        rows_in = sum(len(batch) for part in parent_parts for batch in part)
-        with StageTimer(
-            self.engine.metrics, self.label, rows_in, len(parent_parts)
-        ) as timer:
-            result = self.engine.scheduler.run(
-                lambda _index, part: [fn(batch) for batch in part], parent_parts
-            )
-            timer.rows_out = sum(
-                len(batch) for part in result for batch in part
-            )
-        return result
-
-
-class _Union(Dataset):
-    def __init__(self, left: Dataset, right: Dataset) -> None:
-        if left.engine is not right.engine:
-            raise ValueError("cannot union datasets from different engines")
-        super().__init__(
-            left.engine,
-            (left, right),
-            left.num_partitions + right.num_partitions,
-            "union",
-        )
-
-    def _compute(self, memo: dict) -> list[list]:
-        left = self.parents[0]._materialize(memo)
-        right = self.parents[1]._materialize(memo)
-        return list(left) + list(right)
 
 
 class _Shuffle(Dataset):
@@ -456,157 +242,27 @@ class _Shuffle(Dataset):
         route: Callable[[object], int],
         num_out: int,
         label: str,
-        post: Callable[[int, list], list] | None = None,
+        post: Callable[[int, list], list],
     ) -> None:
-        super().__init__(parent.engine, (parent,), num_out, label)
+        super().__init__(parent.engine, num_out, label)
+        self._parent = parent
         self._route = route
         self._post = post
 
-    def _compute(self, memo: dict) -> list[list]:
-        parent_parts = self.parents[0]._materialize(memo)
+    def _compute(self) -> list[list]:
+        parent_parts = self._parent._materialize()
         rows_in = sum(len(p) for p in parent_parts)
         with StageTimer(
             self.engine.metrics, self.label, rows_in, self.num_partitions
         ) as timer:
-            buckets = exchange(
-                parent_parts,
-                self._route,
-                self.num_partitions,
-                spill_dir=self.engine.spill_dir,
-                spill_threshold=self.engine.spill_threshold,
-            )
-            if self._post is not None:
-                post = self._post
-                buckets = self.engine.scheduler.run(
-                    lambda index, part: list(post(index, part)), buckets
-                )
+            buckets = exchange(parent_parts, self._route, self.num_partitions)
+            buckets = _run(self._post, buckets)
             timer.rows_out = sum(len(p) for p in buckets)
         return buckets
 
 
-class _Repartition(Dataset):
-    """Round-robin redistribution; stateless across re-evaluations (unlike
-    a counter captured in a shuffle router would be)."""
-
-    def __init__(self, parent: Dataset, num_out: int) -> None:
-        super().__init__(
-            parent.engine, (parent,), num_out, f"repartition({num_out})"
-        )
-
-    def _compute(self, memo: dict) -> list[list]:
-        parent_parts = self.parents[0]._materialize(memo)
-        rows_in = sum(len(p) for p in parent_parts)
-        with StageTimer(
-            self.engine.metrics, self.label, rows_in, self.num_partitions
-        ) as timer:
-            buckets: list[list] = [[] for _ in range(self.num_partitions)]
-            index = 0
-            for partition in parent_parts:
-                for record in partition:
-                    buckets[index % self.num_partitions].append(record)
-                    index += 1
-            timer.rows_out = rows_in
-        return buckets
-
-
-class _SortBy(Dataset):
-    _SAMPLE_PER_PARTITION = 64
-
-    def __init__(
-        self, parent: Dataset, key: Callable, ascending: bool, num_out: int
-    ) -> None:
-        super().__init__(parent.engine, (parent,), num_out, "sort_by")
-        self._key = key
-        self._ascending = ascending
-
-    def _compute(self, memo: dict) -> list[list]:
-        parent_parts = self.parents[0]._materialize(memo)
-        key = self._key
-        rows_in = sum(len(p) for p in parent_parts)
-        with StageTimer(
-            self.engine.metrics, self.label, rows_in, self.num_partitions
-        ) as timer:
-            sample: list = []
-            for partition in parent_parts:
-                step = max(1, len(partition) // self._SAMPLE_PER_PARTITION)
-                sample.extend(partition[::step])
-            partitioner = RangePartitioner.from_sample(
-                sample, self.num_partitions, key=key
-            )
-            buckets = exchange(
-                parent_parts,
-                partitioner.partition,
-                partitioner.num_partitions,
-                spill_dir=self.engine.spill_dir,
-                spill_threshold=self.engine.spill_threshold,
-            )
-            buckets = self.engine.scheduler.run(
-                lambda _i, part: sorted(part, key=key, reverse=not self._ascending),
-                buckets,
-            )
-            if not self._ascending:
-                buckets = list(reversed(buckets))
-            timer.rows_out = sum(len(p) for p in buckets)
-        return buckets
-
-
-class _Join(Dataset):
-    def __init__(
-        self, left: Dataset, right: Dataset, how: str, num_partitions: int
-    ) -> None:
-        if left.engine is not right.engine:
-            raise ValueError("cannot join datasets from different engines")
-        super().__init__(left.engine, (left, right), num_partitions, f"join[{how}]")
-        self._how = how
-
-    def _compute(self, memo: dict) -> list[list]:
-        left_parts = self.parents[0]._materialize(memo)
-        right_parts = self.parents[1]._materialize(memo)
-        partitioner = HashPartitioner(self.num_partitions)
-        route = lambda record: partitioner.partition(record[0])  # noqa: E731
-        rows_in = sum(len(p) for p in left_parts) + sum(len(p) for p in right_parts)
-        with StageTimer(
-            self.engine.metrics, self.label, rows_in, self.num_partitions
-        ) as timer:
-            left_buckets = exchange(
-                left_parts, route, self.num_partitions,
-                spill_dir=self.engine.spill_dir,
-                spill_threshold=self.engine.spill_threshold,
-            )
-            right_buckets = exchange(
-                right_parts, route, self.num_partitions,
-                spill_dir=self.engine.spill_dir,
-                spill_threshold=self.engine.spill_threshold,
-            )
-            how = self._how
-            paired = list(zip(left_buckets, right_buckets))
-
-            def join_partition(_index: int, pair: tuple) -> list:
-                left_bucket, right_bucket = pair
-                right_table: dict = {}
-                for key, value in right_bucket:
-                    right_table.setdefault(key, []).append(value)
-                output = []
-                if how == "cogroup":
-                    left_table: dict = {}
-                    for key, value in left_bucket:
-                        left_table.setdefault(key, []).append(value)
-                    for key in set(left_table) | set(right_table):
-                        output.append(
-                            (key, (left_table.get(key, []), right_table.get(key, [])))
-                        )
-                    return output
-                for key, value in left_bucket:
-                    matches = right_table.get(key)
-                    if matches:
-                        output.extend((key, (value, match)) for match in matches)
-                    elif how == "left":
-                        output.append((key, (value, None)))
-                return output
-
-            buckets = self.engine.scheduler.run(join_partition, paired)
-            timer.rows_out = sum(len(p) for p in buckets)
-        return buckets
+def _batch_rows(batches: list) -> int:
+    return sum(len(batch) for batch in batches)
 
 
 def _name(fn: Callable) -> str:

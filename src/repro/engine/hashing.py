@@ -1,9 +1,9 @@
 """Process-stable hashing for partitioners and sketches.
 
 Python's built-in ``hash`` is salted per interpreter (PYTHONHASHSEED), so
-partition assignments would differ between runs and between the processes
-of the process scheduler.  ``stable_hash`` derives a 64-bit value from a
-canonical byte encoding instead, making every shuffle deterministic.
+partition assignments would differ between runs.  ``stable_hash`` derives
+a 64-bit value from a canonical byte encoding instead, making every
+shuffle deterministic.
 """
 
 from __future__ import annotations

@@ -1,9 +1,6 @@
-"""Partitioners: how shuffled records choose their reduce partition."""
+"""The partitioner: how shuffled records choose their reduce partition."""
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from collections.abc import Callable, Sequence
 
 from repro.engine.hashing import stable_hash
 
@@ -11,7 +8,7 @@ from repro.engine.hashing import stable_hash
 class HashPartitioner:
     """Routes a key to ``stable_hash(key) % num_partitions``.
 
-    The default for all key-based shuffles; deterministic across runs.
+    The partitioner of every key-based shuffle; deterministic across runs.
     """
 
     def __init__(self, num_partitions: int) -> None:
@@ -32,47 +29,3 @@ class HashPartitioner:
     def __hash__(self) -> int:
         return hash(("hash", self.num_partitions))
 
-
-class RangePartitioner:
-    """Routes keys into contiguous ranges given sorted split points.
-
-    With split points ``[s0, s1, ...]``, keys ``< s0`` go to partition 0,
-    keys in ``[s0, s1)`` to partition 1, and so on — the partitioner behind
-    total-order sorts.
-    """
-
-    def __init__(
-        self,
-        bounds: Sequence[object],
-        key: Callable[[object], object] | None = None,
-    ) -> None:
-        self.bounds = list(bounds)
-        self.key = key
-        self.num_partitions = len(self.bounds) + 1
-
-    def partition(self, value: object) -> int:
-        """Partition index for a value (after applying the key function)."""
-        probe = self.key(value) if self.key is not None else value
-        return bisect_right(self.bounds, probe)
-
-    @classmethod
-    def from_sample(
-        cls,
-        sample: Sequence[object],
-        num_partitions: int,
-        key: Callable[[object], object] | None = None,
-    ) -> "RangePartitioner":
-        """Build split points from a sample, Spark-style: sort the sample
-        and take evenly spaced quantile bounds."""
-        if num_partitions < 1:
-            raise ValueError(f"need at least one partition, got {num_partitions}")
-        probes = sorted(key(v) if key is not None else v for v in sample)
-        bounds = []
-        for i in range(1, num_partitions):
-            if not probes:
-                break
-            index = min(len(probes) - 1, i * len(probes) // num_partitions)
-            bound = probes[index]
-            if not bounds or bound > bounds[-1]:
-                bounds.append(bound)
-        return cls(bounds, key=key)

@@ -1,77 +1,18 @@
 """The all-to-all exchange between map and reduce stages.
 
 ``exchange`` routes every record of every map partition into one of the
-reduce partitions.  Buckets normally live in memory; when the engine is
-configured with a spill directory, buckets larger than the spill threshold
-are pickled to disk and re-read during collection, bounding peak memory at
-the cost of serialization — the behaviour that lets the pipeline claim
-"big data" semantics honestly at laptop scale.
+reduce partitions, in memory.
 """
 
 from __future__ import annotations
 
-import pickle
-import uuid
 from collections.abc import Callable, Sequence
-from pathlib import Path
-
-
-class _Bucket:
-    """One reduce partition's staging area with optional disk spill."""
-
-    __slots__ = ("records", "spill_paths", "spill_dir", "threshold", "spilled_rows")
-
-    def __init__(self, spill_dir: Path | None, threshold: int) -> None:
-        self.records: list = []
-        self.spill_paths: list[Path] = []
-        self.spill_dir = spill_dir
-        self.threshold = threshold
-        self.spilled_rows = 0
-
-    def add(self, record: object) -> None:
-        self.records.append(record)
-        if self.spill_dir is not None and len(self.records) >= self.threshold:
-            self._spill()
-
-    def _spill(self) -> None:
-        path = self.spill_dir / f"spill-{uuid.uuid4().hex}.pkl"
-        with open(path, "wb") as handle:
-            pickle.dump(self.records, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self.spill_paths.append(path)
-        self.spilled_rows += len(self.records)
-        self.records = []
-
-    def drain(self) -> list:
-        """All records, spilled first, then in-memory; spill files removed."""
-        output: list = []
-        for path in self.spill_paths:
-            with open(path, "rb") as handle:
-                output.extend(pickle.load(handle))
-            path.unlink(missing_ok=True)
-        self.spill_paths.clear()
-        output.extend(self.records)
-        self.records = []
-        return output
-
-
-class ShuffleStats:
-    """Counters describing one exchange, for tests and benchmarks."""
-
-    __slots__ = ("rows", "spilled_rows", "spill_files")
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.spilled_rows = 0
-        self.spill_files = 0
 
 
 def exchange(
     partitions: Sequence[list],
     route: Callable[[object], int],
     num_out: int,
-    spill_dir: Path | None = None,
-    spill_threshold: int = 100_000,
-    stats: ShuffleStats | None = None,
 ) -> list[list]:
     """Route every record to its reduce partition.
 
@@ -82,8 +23,7 @@ def exchange(
     """
     if num_out < 1:
         raise ValueError(f"need at least one output partition, got {num_out}")
-    buckets = [_Bucket(spill_dir, spill_threshold) for _ in range(num_out)]
-    rows = 0
+    buckets: list[list] = [[] for _ in range(num_out)]
     for partition in partitions:
         for record in partition:
             index = route(record)
@@ -92,10 +32,5 @@ def exchange(
                     f"router produced partition {index}, valid range is "
                     f"[0, {num_out})"
                 )
-            buckets[index].add(record)
-            rows += 1
-    if stats is not None:
-        stats.rows = rows
-        stats.spilled_rows = sum(bucket.spilled_rows for bucket in buckets)
-        stats.spill_files = sum(len(bucket.spill_paths) for bucket in buckets)
-    return [bucket.drain() for bucket in buckets]
+            buckets[index].append(record)
+    return buckets

@@ -54,13 +54,17 @@ def encode(value: object) -> bytes:
 def decode(payload: bytes) -> object:
     """Decode bytes produced by :func:`encode`.
 
-    Raises :class:`CodecError` on trailing garbage or truncation.
+    Raises :class:`CodecError` on any malformed payload: trailing
+    garbage, truncation, an unhashable dict key, invalid UTF-8 or
+    nesting deeper than the interpreter's recursion limit.
     """
     try:
         value, offset = _decode_from(payload, 0)
     except (IndexError, struct.error) as exc:
         # Every read past the end of a truncated payload lands here.
         raise CodecError(f"truncated payload: {exc}") from exc
+    except (TypeError, UnicodeDecodeError, RecursionError) as exc:
+        raise CodecError(f"malformed payload: {exc}") from exc
     if offset != len(payload):
         raise CodecError(
             f"trailing bytes after value: {len(payload) - offset} left"

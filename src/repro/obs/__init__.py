@@ -6,7 +6,7 @@ this repo makes needs a seam that can prove it.  ``repro.obs`` is that
 seam, stdlib only:
 
 - :mod:`repro.obs.trace` — the contextvars span tracer.  ``span(name)``
-  as context manager or ``@traced`` decorator; thread-, fork- and
+  as context manager or ``@traced`` decorator; thread- and
   asyncio-safe propagation; per-span wall and thread-CPU time; counters
   attached at close.  Disabled by default, and the disabled path is a
   no-op (one attribute read, a shared inert object — asserted by
@@ -22,7 +22,7 @@ seam, stdlib only:
   counters/latency gauges (``repro serve --metrics-port``).
 
 Instrumented hot paths: every pipeline stage (the Fig. 3 funnel),
-scheduler partition execution and retries, SSTable block reads and
+engine partition execution, SSTable block reads and
 block-cache hits/misses, and every server request with its queue-wait
 vs. handler-time split.
 """

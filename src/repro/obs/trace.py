@@ -21,13 +21,8 @@ counter deltas and an ok/error status.  Propagation:
 - **nesting** rides a :class:`contextvars.ContextVar`, so it is correct
   per-thread and per-asyncio-task by construction;
 - **thread pools** submit through ``contextvars.copy_context()`` (the
-  schedulers and the server's executor do this when tracing is on), so
-  worker-side spans parent under the span active at submit time;
-- **forked workers** inherit the context through the fork; the child
-  redirects its spans into a buffer (:func:`begin_collect` /
-  :func:`end_collect`), ships them back over the result pipe, and the
-  parent :func:`replay`\\ s them — ids stay globally unique because they
-  come from ``os.urandom``, which does not repeat across forks.
+  server's executor does this when tracing is on), so worker-side spans
+  parent under the span active at submit time.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import os
 import threading
 import time
 from collections.abc import Callable
-from contextvars import ContextVar, Token
+from contextvars import ContextVar
 from dataclasses import dataclass
 from types import TracebackType
 from typing import Any, Protocol, TypeVar
@@ -66,7 +61,7 @@ _ACTIVE: ContextVar[TraceContext | None] = ContextVar("repro_obs_active", defaul
 
 
 def _new_id() -> str:
-    """A 64-bit random hex id — unique across threads *and* forks."""
+    """A 64-bit random hex id — unique across threads."""
     return os.urandom(8).hex()
 
 
@@ -277,58 +272,3 @@ def current_context() -> TraceContext | None:
     """The active (trace id, span id), or ``None`` outside any span."""
     return _ACTIVE.get()
 
-
-def activate(context: TraceContext | None) -> Token[TraceContext | None]:
-    """Adopt a propagated context in this thread/task; returns the reset
-    token for :func:`deactivate` (used when ``copy_context`` cannot be,
-    e.g. adopting a context shipped across a process boundary)."""
-    return _ACTIVE.set(context)
-
-
-def deactivate(token: Token[TraceContext | None]) -> None:
-    """Undo :func:`activate`."""
-    _ACTIVE.reset(token)
-
-
-class _CollectBuffer:
-    """Sink that buffers records in a plain list (fork-side transport)."""
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-
-    def record(self, record: dict) -> None:
-        """Append one span record to the buffer."""
-        self.records.append(record)
-
-
-def begin_collect() -> list[dict] | None:
-    """Redirect all spans into an in-memory buffer (fork-side).
-
-    Called by a forked worker right after the fork: the inherited sinks
-    (open files, shared ring buffers) belong to the parent and must not
-    be written from the child.  Returns the buffer, or ``None`` when
-    tracing is disabled.  Single-threaded use only — the child owns its
-    copy of the tracer.
-    """
-    tracer = _TRACER
-    if not tracer.enabled:
-        return None
-    buffer = _CollectBuffer()
-    tracer._sinks = (buffer,)
-    return buffer
-
-
-def end_collect(buffer: list[dict] | _CollectBuffer | None) -> list[dict]:
-    """The records captured since :func:`begin_collect` (empty if off)."""
-    if buffer is None:
-        return []
-    return buffer.records
-
-
-def replay(records: list[dict]) -> None:
-    """Emit records captured in another process into this tracer's sinks."""
-    tracer = _TRACER
-    if not tracer.enabled:
-        return
-    for record in records:
-        tracer.emit(record)

@@ -4,8 +4,8 @@ In the paper's words: partition by vessel identifier, drop out-of-range
 field values, sort by reported timestamp, compute pairwise time gaps and
 haversine distances, drop non-feasible transitions (implied speed over 50
 knots), annotate with static vessel information, and drop non-commercial
-vessels.  All functions here are module-level so every scheduler backend
-can run them.
+vessels.  All functions here are module-level, so the engine's stage
+labels name them (``filter(validate)``, ``map(key_by_mmsi)``).
 """
 
 from __future__ import annotations

@@ -137,8 +137,8 @@ def build_inventory(
     :param positions: raw (dirty) archive, any order.
     :param fleet: static-report inventory to enrich from.
     :param ports: the external port database for geofencing.
-    :param engine: an optional pre-configured engine (scheduler,
-        partitions, spill, metrics); a default serial engine otherwise.
+    :param engine: an optional pre-configured engine (partition count,
+        stage metrics); a default :class:`Engine` otherwise.
     :param output: when given, persist the inventory as a compacted
         SSTable at this path instead of returning an in-memory store.
     :param windows: number of equal-duration ingestion windows for the
@@ -154,35 +154,30 @@ def build_inventory(
     config = config or PipelineConfig()
     if resume and output is None:
         raise ValueError("resume=True requires an output path")
-    own_engine = engine is None
     engine = engine or Engine()
-    try:
-        with obs.span(
-            SPAN_BUILD,
-            raw=len(positions),
-            windows=windows,
-            on_disk=output is not None,
-        ):
-            if output is None:
-                if windows != 1:
-                    raise ValueError("windowed builds require an output path")
-                inventory, funnel = _build_window(
-                    positions, fleet, ports, config, engine
-                )
-                funnel["inventory_groups"] = len(inventory)
-                funnel["inventory_cells"] = len(inventory.cells())
-                return PipelineResult(
-                    inventory=inventory,
-                    funnel=funnel,
-                    stage_seconds=_stage_seconds(engine),
-                )
-            return _build_to_table(
-                positions, fleet, ports, config, engine, Path(output), windows,
-                resume=resume,
+    with obs.span(
+        SPAN_BUILD,
+        raw=len(positions),
+        windows=windows,
+        on_disk=output is not None,
+    ):
+        if output is None:
+            if windows != 1:
+                raise ValueError("windowed builds require an output path")
+            inventory, funnel = _build_window(
+                positions, fleet, ports, config, engine
             )
-    finally:
-        if own_engine:
-            engine.close()
+            funnel["inventory_groups"] = len(inventory)
+            funnel["inventory_cells"] = len(inventory.cells())
+            return PipelineResult(
+                inventory=inventory,
+                funnel=funnel,
+                stage_seconds=_stage_seconds(engine),
+            )
+        return _build_to_table(
+            positions, fleet, ports, config, engine, Path(output), windows,
+            resume=resume,
+        )
 
 
 def _build_to_table(

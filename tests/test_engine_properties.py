@@ -6,7 +6,7 @@ that lets pipeline code treat the engine as "just Python, distributed".
 """
 
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,17 +22,22 @@ def _engine(partitions):
     return Engine(EngineConfig(num_partitions=partitions))
 
 
+def _sum_by_key(engine, pairs):
+    return dict(
+        engine.parallelize(pairs)
+        .combine_by_key(lambda v: v, operator.add, operator.add)
+        .collect()
+    )
+
+
 @settings(max_examples=40)
 @given(pairs=PAIRS, partitions=PARTITIONS)
-def test_reduce_by_key_matches_dict_fold(pairs, partitions):
+def test_combine_by_key_matches_dict_fold(pairs, partitions):
     reference: dict = {}
     for key, value in pairs:
         reference[key] = reference.get(key, 0) + value
     with _engine(partitions) as engine:
-        result = dict(
-            engine.parallelize(pairs).reduce_by_key(operator.add).collect()
-        )
-    assert result == reference
+        assert _sum_by_key(engine, pairs) == reference
 
 
 @settings(max_examples=40)
@@ -51,14 +56,6 @@ def test_group_by_key_matches_multimap(pairs, partitions):
 
 @settings(max_examples=40)
 @given(values=st.lists(VALUES, max_size=150), partitions=PARTITIONS)
-def test_distinct_matches_set(values, partitions):
-    with _engine(partitions) as engine:
-        result = engine.parallelize(values).distinct().collect()
-    assert sorted(result) == sorted(set(values))
-
-
-@settings(max_examples=40)
-@given(values=st.lists(VALUES, max_size=150), partitions=PARTITIONS)
 def test_map_filter_pipeline_matches_comprehension(values, partitions):
     with _engine(partitions) as engine:
         result = (
@@ -71,65 +68,9 @@ def test_map_filter_pipeline_matches_comprehension(values, partitions):
 
 
 @settings(max_examples=30)
-@given(left=PAIRS, right=PAIRS, partitions=PARTITIONS)
-def test_join_matches_nested_loop(left, right, partitions):
-    reference = Counter(
-        (lk, (lv, rv)) for lk, lv in left for rk, rv in right if lk == rk
-    )
-    with _engine(partitions) as engine:
-        result = Counter(
-            engine.parallelize(left).join(engine.parallelize(right)).collect()
-        )
-    assert result == reference
-
-
-@settings(max_examples=30)
-@given(left=PAIRS, right=PAIRS, partitions=PARTITIONS)
-def test_cogroup_partitions_both_sides(left, right, partitions):
-    left_ref = defaultdict(list)
-    right_ref = defaultdict(list)
-    for key, value in left:
-        left_ref[key].append(value)
-    for key, value in right:
-        right_ref[key].append(value)
-    with _engine(partitions) as engine:
-        result = dict(
-            engine.parallelize(left).cogroup(engine.parallelize(right)).collect()
-        )
-    assert set(result) == set(left_ref) | set(right_ref)
-    for key, (left_values, right_values) in result.items():
-        assert sorted(left_values) == sorted(left_ref.get(key, []))
-        assert sorted(right_values) == sorted(right_ref.get(key, []))
-
-
-@settings(max_examples=40)
-@given(values=st.lists(VALUES, max_size=150),
-       partitions=PARTITIONS, out_partitions=PARTITIONS)
-def test_repartition_preserves_multiset(values, partitions, out_partitions):
-    with _engine(partitions) as engine:
-        result = engine.parallelize(values).repartition(out_partitions).collect()
-    assert Counter(result) == Counter(values)
-
-
-@settings(max_examples=40)
-@given(values=st.lists(VALUES, min_size=1, max_size=100), partitions=PARTITIONS)
-def test_aggregate_matches_sum_of_squares(values, partitions):
-    with _engine(partitions) as engine:
-        result = engine.parallelize(values).aggregate(
-            0, lambda acc, x: acc + x * x, operator.add
-        )
-    assert result == sum(x * x for x in values)
-
-
-@settings(max_examples=30)
 @given(pairs=PAIRS, partitions=PARTITIONS)
 def test_partition_count_never_changes_answers(pairs, partitions):
     with _engine(1) as serial_engine:
-        expected = dict(
-            serial_engine.parallelize(pairs).reduce_by_key(operator.add).collect()
-        )
+        expected = _sum_by_key(serial_engine, pairs)
     with _engine(partitions) as engine:
-        result = dict(
-            engine.parallelize(pairs).reduce_by_key(operator.add).collect()
-        )
-    assert result == expected
+        assert _sum_by_key(engine, pairs) == expected

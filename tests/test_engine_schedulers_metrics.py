@@ -1,199 +1,8 @@
-"""Scheduler equivalence and metrics instrumentation tests."""
+"""Stage-metrics and event-counter instrumentation tests."""
 
 import operator
 
-import pytest
-
 from repro.engine import Engine, EngineConfig
-from repro.engine.scheduler import (
-    ProcessScheduler,
-    SerialScheduler,
-    ThreadScheduler,
-    WorkerError,
-    make_scheduler,
-)
-
-
-REFERENCE_DATA = [(i % 13, i) for i in range(5000)]
-
-
-def _reference():
-    result: dict = {}
-    for key, value in REFERENCE_DATA:
-        result[key] = result.get(key, 0) + value
-    return result
-
-
-@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
-def test_all_schedulers_agree(scheduler):
-    with Engine(
-        EngineConfig(num_partitions=4, scheduler=scheduler, max_workers=2)
-    ) as engine:
-        result = dict(
-            engine.parallelize(REFERENCE_DATA).reduce_by_key(operator.add).collect()
-        )
-    assert result == _reference()
-
-
-@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
-def test_schedulers_run_lambda_closures(scheduler):
-    captured = {"offset": 7}
-    with Engine(
-        EngineConfig(num_partitions=3, scheduler=scheduler, max_workers=2)
-    ) as engine:
-        result = engine.parallelize(range(10)).map(
-            lambda x: x + captured["offset"]
-        ).collect()
-    assert result == [x + 7 for x in range(10)]
-
-
-def test_scheduler_factory():
-    assert isinstance(make_scheduler("serial"), SerialScheduler)
-    assert isinstance(make_scheduler("threads"), ThreadScheduler)
-    assert isinstance(make_scheduler("processes"), ProcessScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("gpu")
-
-
-def test_worker_validation():
-    with pytest.raises(ValueError):
-        ThreadScheduler(0)
-    with pytest.raises(ValueError):
-        ProcessScheduler(0)
-
-
-def test_process_scheduler_preserves_partition_order():
-    scheduler = ProcessScheduler(max_workers=3)
-    partitions = [[i] for i in range(10)]
-    result = scheduler.run(lambda index, part: [part[0] * 10], partitions)
-    assert result == [[i * 10] for i in range(10)]
-
-
-def test_process_scheduler_empty_input():
-    assert ProcessScheduler(2).run(lambda i, p: p, []) == []
-
-
-def test_process_scheduler_surfaces_worker_failure():
-    scheduler = ProcessScheduler(max_workers=2)
-
-    def boom(index, part):
-        raise RuntimeError("worker exploded")
-
-    with pytest.raises(RuntimeError):
-        scheduler.run(boom, [[1], [2]])
-
-
-def test_process_scheduler_carries_worker_traceback():
-    """The parent's WorkerError must contain the worker's *real*
-    traceback — exception type, message and the raising line — not a
-    'go reproduce it serially' shrug."""
-    scheduler = ProcessScheduler(max_workers=2)
-
-    def boom(index, part):
-        raise KeyError(f"missing-key-{index}")
-
-    with pytest.raises(WorkerError) as exc_info:
-        scheduler.run(boom, [[1], [2], [3]])
-    message = str(exc_info.value)
-    assert "KeyError" in message
-    assert "missing-key-" in message
-    assert "Traceback" in message
-    assert exc_info.value.tracebacks
-    assert any("boom" in tb for tb in exc_info.value.tracebacks)
-
-
-def test_process_scheduler_reports_unpicklable_results_with_traceback():
-    scheduler = ProcessScheduler(max_workers=2)
-
-    def unpicklable(index, part):
-        return [lambda: index]  # lambdas don't pickle
-
-    with pytest.raises(WorkerError) as exc_info:
-        scheduler.run(unpicklable, [[1], [2]])
-    assert "pickle" in str(exc_info.value).lower()
-
-
-class TestRetries:
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            SerialScheduler(retries=-1)
-        with pytest.raises(ValueError):
-            ThreadScheduler(retries=0, backoff=-0.5)
-
-    def test_factory_passes_retry_policy_through(self):
-        scheduler = make_scheduler("threads", retries=3, backoff=0.25)
-        assert scheduler.retries == 3
-        assert scheduler.backoff == 0.25
-
-    def test_engine_config_passes_retry_policy_through(self):
-        with Engine(
-            EngineConfig(scheduler="threads", scheduler_retries=2,
-                         scheduler_backoff=0.0)
-        ) as engine:
-            assert engine.scheduler.retries == 2
-
-    @pytest.mark.parametrize("name", ["serial", "threads"])
-    def test_transient_failures_are_retried(self, name):
-        import threading
-
-        scheduler = make_scheduler(name, max_workers=2, retries=2, backoff=0.0)
-        lock = threading.Lock()
-        attempts: dict[int, int] = {}
-
-        def flaky(index, part):
-            with lock:
-                attempts[index] = attempts.get(index, 0) + 1
-                if attempts[index] <= 2:
-                    raise OSError("transient")
-            return [value * 2 for value in part]
-
-        try:
-            result = scheduler.run(flaky, [[1], [2], [3]])
-        finally:
-            scheduler.close()
-        assert result == [[2], [4], [6]]
-        assert all(count == 3 for count in attempts.values())
-
-    def test_process_scheduler_retries_inside_workers(self, tmp_path):
-        # Worker processes don't share memory: count attempts on disk.
-        scheduler = ProcessScheduler(max_workers=2, retries=2, backoff=0.0)
-
-        def flaky(index, part):
-            marker = tmp_path / f"attempts-{index}"
-            seen = len(marker.read_bytes()) if marker.exists() else 0
-            marker.write_bytes(b"x" * (seen + 1))
-            if seen < 2:
-                raise OSError("transient")
-            return [value + 10 for value in part]
-
-        result = scheduler.run(flaky, [[1], [2], [3]])
-        assert result == [[11], [12], [13]]
-
-    def test_attempt_budget_is_finite(self):
-        scheduler = SerialScheduler(retries=2, backoff=0.0)
-        attempts = []
-
-        def always_fails(index, part):
-            attempts.append(index)
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RuntimeError, match="permanent"):
-            scheduler.run(always_fails, [[1]])
-        assert len(attempts) == 3  # 1 try + 2 retries, then give up
-
-    def test_backoff_doubles_between_attempts(self, monkeypatch):
-        from repro.engine import scheduler as scheduler_module
-
-        delays = []
-        monkeypatch.setattr(scheduler_module, "_sleep", delays.append)
-        scheduler = SerialScheduler(retries=3, backoff=0.1)
-
-        def always_fails(index, part):
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RuntimeError):
-            scheduler.run(always_fails, [[1]])
-        assert delays == [0.1, 0.2, 0.4]
 
 
 def test_metrics_record_rows_and_stages():
@@ -201,15 +10,17 @@ def test_metrics_record_rows_and_stages():
         (
             engine.parallelize(range(100))
             .filter(lambda x: x % 2 == 0)
-            .key_by(lambda x: x % 5)
-            .reduce_by_key(operator.add)
+            .map(lambda x: (x % 5, x))
+            .combine_by_key(lambda v: v, operator.add, operator.add,
+                            label="sum_by_key")
             .collect()
         )
         metrics = engine.metrics
         assert metrics is not None
         labels = [stage.label for stage in metrics.stages]
         assert any("filter" in label for label in labels)
-        assert any("reduce_by_key" in label for label in labels)
+        assert "map_side_combine" in labels
+        assert "sum_by_key" in labels
         filter_stage = next(s for s in metrics.stages if "filter" in s.label)
         assert filter_stage.rows_in == 100
         assert filter_stage.rows_out == 50
@@ -224,53 +35,6 @@ def test_metrics_disabled_by_default():
     with Engine(EngineConfig(num_partitions=2)) as engine:
         engine.parallelize([1]).map(lambda x: x).collect()
         assert engine.metrics is None
-
-
-def test_thread_scheduler_reaps_outstanding_tasks_on_failure():
-    """When one partition raises, run() must not abandon in-flight tasks:
-    started tasks are awaited and queued ones cancelled before the
-    exception propagates, so nothing mutates shared state afterwards."""
-    import threading
-    import time
-
-    scheduler = ThreadScheduler(max_workers=2)
-    lock = threading.Lock()
-    completions: list[int] = []
-
-    def task(index, part):
-        if index == 0:
-            raise RuntimeError("partition zero exploded")
-        time.sleep(0.15)
-        with lock:
-            completions.append(index)
-        return part
-
-    try:
-        with pytest.raises(RuntimeError, match="partition zero"):
-            scheduler.run(task, [[0], [1], [2], [3], [4], [5]])
-        with lock:
-            settled = list(completions)
-        # Nothing may still be running: any queued task was cancelled,
-        # any started task finished *before* run() raised.
-        time.sleep(0.3)
-        with lock:
-            assert completions == settled
-    finally:
-        scheduler.close()
-
-
-def test_thread_scheduler_reusable_after_failure():
-    scheduler = ThreadScheduler(max_workers=2)
-    try:
-        with pytest.raises(ValueError):
-            scheduler.run(
-                lambda i, part: (_ for _ in ()).throw(ValueError("boom")),
-                [[1], [2]],
-            )
-        assert scheduler.run(lambda i, part: [x * 2 for x in part],
-                             [[1], [2]]) == [[2], [4]]
-    finally:
-        scheduler.close()
 
 
 def test_counter_set_increments_are_thread_safe():

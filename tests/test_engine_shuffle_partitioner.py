@@ -1,10 +1,10 @@
-"""Tests for the shuffle exchange, partitioners and stable hashing."""
+"""Tests for the shuffle exchange, the hash partitioner and stable hashing."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import HashPartitioner, RangePartitioner, stable_hash
-from repro.engine.shuffle import ShuffleStats, exchange
+from repro.engine import HashPartitioner, stable_hash
+from repro.engine.shuffle import exchange
 
 
 class TestStableHash:
@@ -51,38 +51,6 @@ class TestHashPartitioner:
         assert min(counts) > 700
 
 
-class TestRangePartitioner:
-    def test_bounds_routing(self):
-        partitioner = RangePartitioner([10, 20])
-        assert partitioner.num_partitions == 3
-        assert partitioner.partition(5) == 0
-        assert partitioner.partition(10) == 1
-        assert partitioner.partition(15) == 1
-        assert partitioner.partition(25) == 2
-
-    def test_key_function(self):
-        partitioner = RangePartitioner([10], key=len)
-        assert partitioner.partition("short") == 0
-        assert partitioner.partition("much longer string") == 1
-
-    def test_from_sample_produces_balanced_bounds(self):
-        sample = list(range(1000))
-        partitioner = RangePartitioner.from_sample(sample, 4)
-        counts = [0] * partitioner.num_partitions
-        for value in sample:
-            counts[partitioner.partition(value)] += 1
-        assert len([c for c in counts if c > 0]) == 4
-        assert max(counts) < 2 * min(c for c in counts if c > 0)
-
-    def test_from_sample_empty(self):
-        partitioner = RangePartitioner.from_sample([], 4)
-        assert partitioner.partition(123) == 0
-
-    def test_from_sample_validation(self):
-        with pytest.raises(ValueError):
-            RangePartitioner.from_sample([1], 0)
-
-
 class TestExchange:
     def test_routes_records(self):
         out = exchange([[1, 2, 3], [4, 5]], route=lambda r: r % 2, num_out=2)
@@ -97,27 +65,3 @@ class TestExchange:
             exchange([[1]], route=lambda r: 5, num_out=2)
         with pytest.raises(ValueError):
             exchange([[1]], route=lambda r: 0, num_out=0)
-
-    def test_spill_roundtrip(self, tmp_path):
-        stats = ShuffleStats()
-        data = [[i for i in range(1000)]]
-        out = exchange(
-            data,
-            route=lambda r: r % 3,
-            num_out=3,
-            spill_dir=tmp_path,
-            spill_threshold=50,
-            stats=stats,
-        )
-        assert sorted(sum(out, [])) == list(range(1000))
-        assert stats.rows == 1000
-        assert stats.spilled_rows > 0
-        assert stats.spill_files > 0
-        # Spill files are cleaned up after draining.
-        assert not list(tmp_path.glob("spill-*.pkl"))
-
-    def test_no_spill_without_directory(self):
-        stats = ShuffleStats()
-        exchange([[1] * 500], route=lambda r: 0, num_out=1,
-                 spill_threshold=10, stats=stats)
-        assert stats.spilled_rows == 0

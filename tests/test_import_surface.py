@@ -13,8 +13,9 @@ loads a submodule only when a name from it is asked for.  A fresh
 interpreter that imports ``repro.cli`` — or what ``repro build`` and the
 table-serving subcommands run — must therefore not have loaded the live
 write path, the simulator or the server.  A read-only server does not
-load the live write path either, and building the CLI parser does not
-load the static analyzer's rules.
+load the live write path either, building the CLI parser does not load
+the static analyzer's rules, and what ``repro build`` runs loads no
+``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -133,14 +134,22 @@ def test_import_loads_no_subcommand_internals(code, entry, forbidden):
     assert not hit, hit
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+def test_build_path_loads_no_thread_pool():
+    """The engine runs partitions in the caller's thread, so what
+    ``repro build`` runs has no use for a pool."""
+    loaded = _loaded_after("import repro.pipeline.run", prefix="concurrent")
+    assert "concurrent.futures" not in loaded, sorted(loaded)
+
+
+def _loaded_after(code: str, prefix: str = "repro") -> set[str]:
+    """The modules under ``prefix`` a fresh interpreter holds after
+    ``code``."""
     result = subprocess.run(
         [
             sys.executable,
             "-c",
             f"import sys; {code}; "
-            "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))",
+            f"print('\\n'.join(m for m in sys.modules if m.startswith({prefix!r})))",
         ],
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True,

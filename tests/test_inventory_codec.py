@@ -95,6 +95,29 @@ def test_empty_payload_raises():
         decode(b"")
 
 
+MALFORMED = [
+    pytest.param(b"l\x01d\x01l\x00i\x00", id="unhashable-key"),
+    pytest.param(b"s\x02\xff\xfe", id="invalid-utf8"),
+    pytest.param(b"l\x01" * 5000 + b"N", id="deep-nesting"),
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED)
+def test_malformed_payload_raises_codec_error(payload):
+    with pytest.raises(CodecError):
+        decode(payload)
+    with pytest.raises(CodecError):
+        reference_decode(payload)
+
+
+@given(payload=st.binary(max_size=64))
+def test_arbitrary_bytes_decode_or_raise_codec_error(payload):
+    try:
+        decode(payload)
+    except CodecError:
+        pass
+
+
 # -- the fast paths against the plain recursive walk ---------------------------
 
 

@@ -1,13 +1,13 @@
-"""Trace-context propagation across threads, forks and asyncio tasks.
+"""Trace-context propagation across threads and asyncio tasks.
 
 The tracer's value is that one trace follows a request or a build across
-execution boundaries.  These tests pin the three boundaries the repo
-actually crosses:
+execution boundaries.  These tests pin the boundaries the repo actually
+crosses:
 
-- **thread pools** (ThreadScheduler, the server's executor) — worker-side
-  spans must parent under the span active at submit time;
-- **forked workers** (ProcessScheduler) — child spans ride the result
-  pipe and replay into the parent's sinks with correct lineage;
+- **the engine's partition loop** — one span per partition task, nested
+  under the caller's span;
+- **the server's executor** — a handler span must parent under the
+  request span that was active when the request was handed to the pool;
 - **asyncio tasks** — concurrent tasks each keep their own context and
   never interleave trace ids, even across await points.
 """
@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from repro.engine import scheduler as sched
+from repro.engine import Engine, EngineConfig
 from repro.obs import trace as obs
 
 
@@ -46,122 +46,54 @@ def _partition_spans(sink):
     return [r for r in sink.records if r["name"] == "engine.partition"]
 
 
-# -- thread pools ----------------------------------------------------------------
+# -- the engine's partition loop ------------------------------------------------
 
 
-def test_thread_scheduler_spans_nest_under_caller():
+def test_engine_partition_spans_nest_under_caller():
     sink = ListSink()
     obs.configure(sink)
-    scheduler = sched.ThreadScheduler(max_workers=4)
-    try:
+    with Engine(EngineConfig(num_partitions=3)) as engine:
         with obs.span("job") as job:
-            results = scheduler.run(
-                lambda i, part: [x * 2 for x in part],
-                [[1], [2], [3], [4], [5], [6]],
-            )
-            job_span_id = obs.current_context().span_id
-    finally:
-        scheduler.close()
-    assert results == [[2], [4], [6], [8], [10], [12]]
+            results = engine.parallelize(range(6)).map(lambda x: x * 2).collect()
+            job_ctx = obs.current_context()
+    assert results == [x * 2 for x in range(6)]
     partitions = _partition_spans(sink)
-    assert len(partitions) == 6
-    (job_record,) = [r for r in sink.records if r["name"] == "job"]
-    for record in partitions:
-        assert record["trace"] == job_record["trace"]
-        assert record["parent"] == job_span_id == job_record["span"]
-    ids = [r["span"] for r in partitions]
-    assert len(set(ids)) == len(ids)
-
-
-def test_thread_scheduler_two_jobs_never_share_a_trace():
-    sink = ListSink()
-    obs.configure(sink)
-    scheduler = sched.ThreadScheduler(max_workers=4)
-    try:
-        traces = []
-        for _ in range(2):
-            with obs.span("job"):
-                scheduler.run(lambda i, part: part, [[1], [2], [3]])
-                traces.append(obs.current_context().trace_id)
-    finally:
-        scheduler.close()
-    assert traces[0] != traces[1]
-    by_trace = {}
-    for record in _partition_spans(sink):
-        by_trace.setdefault(record["trace"], []).append(record)
-    assert set(by_trace) == set(traces)
-    assert all(len(records) == 3 for records in by_trace.values())
-
-
-def test_retry_closes_an_error_span_per_failed_attempt():
-    sink = ListSink()
-    obs.configure(sink)
-    attempts = {"n": 0}
-
-    def flaky(index, partition):
-        attempts["n"] += 1
-        if attempts["n"] == 1:
-            raise OSError("transient")
-        return partition
-
-    scheduler = sched.SerialScheduler(retries=2, backoff=0.0)
-    before = sched.COUNTERS.value(sched.RETRIES_TOTAL)
-    assert scheduler.run(flaky, [[7]]) == [[7]]
-    assert sched.COUNTERS.value(sched.RETRIES_TOTAL) == before + 1
-    partitions = _partition_spans(sink)
-    assert [r["status"] for r in partitions] == ["error", "ok"]
-    assert partitions[0]["attrs"]["attempt"] == 0
-    assert partitions[1]["attrs"]["attempt"] == 1
-
-
-# -- forked workers --------------------------------------------------------------
-
-
-def test_process_scheduler_replays_child_spans_with_lineage():
-    sink = ListSink()
-    obs.configure(sink)
-    scheduler = sched.ProcessScheduler(max_workers=2)
-    with obs.span("forked.job") as job:
-        results = scheduler.run(
-            lambda i, part: [x + 100 for x in part], [[1], [2], [3], [4]]
-        )
-        job_ctx = obs.current_context()
-    assert results == [[101], [102], [103], [104]]
-    partitions = _partition_spans(sink)
-    assert len(partitions) == 4
+    assert [r["attrs"]["index"] for r in partitions] == [0, 1, 2]
     for record in partitions:
         assert record["trace"] == job_ctx.trace_id
         assert record["parent"] == job_ctx.span_id
     ids = [r["span"] for r in partitions]
-    assert len(set(ids)) == len(ids), "span ids must stay unique across forks"
+    assert len(set(ids)) == len(ids)
 
 
-def test_process_scheduler_failed_worker_still_ships_spans():
+# -- the server's executor -------------------------------------------------------
+
+
+def test_server_executor_spans_nest_under_request():
+    """Requests that are not answered on the event loop run on the
+    server's thread pool; the request task's context must ride along."""
+    from repro.inventory import Inventory
+    from repro.server import InventoryClient, InventoryService, ServerThread
+
     sink = ListSink()
     obs.configure(sink)
-    scheduler = sched.ProcessScheduler(max_workers=2)
+    service = InventoryService(Inventory(resolution=6))
+    assert "stats" not in service.inline_types  # takes the executor hop
+    with ServerThread(service) as handle:
+        with InventoryClient(*handle.address) as client:
+            for _ in range(3):
+                client.stats()
 
-    def poisoned(index, partition):
-        if index == 1:
-            raise RuntimeError("partition 1 is bad")
-        return partition
+    def stats_spans(name):
+        return [r for r in sink.records
+                if r["name"] == name and r["attrs"].get("type") == "stats"]
 
-    with pytest.raises(sched.WorkerError):
-        with obs.span("doomed.job"):
-            scheduler.run(poisoned, [[1], [2], [3], [4]])
-    partitions = _partition_spans(sink)
-    # every *attempted* partition reported a span, including the failed
-    # one (the failing worker abandons the rest of its slice, so its
-    # trailing partition is never attempted: slices are [0,2] and [1,3])
-    assert len(partitions) == 3
-    by_index = {r["attrs"]["index"]: r["status"] for r in partitions}
-    assert by_index == {0: "ok", 1: "error", 2: "ok"}
-
-
-def test_process_scheduler_untraced_run_stays_silent():
-    scheduler = sched.ProcessScheduler(max_workers=2)
-    assert scheduler.run(lambda i, p: p, [[1], [2], [3]]) == [[1], [2], [3]]
-    assert not obs.enabled()
+    requests = {r["span"]: r for r in stats_spans("server.request")}
+    handlers = stats_spans("server.handle")
+    assert len(requests) == len(handlers) == 3
+    for handler in handlers:
+        parent = requests[handler["parent"]]
+        assert handler["trace"] == parent["trace"]
 
 
 # -- threads without a pool (raw propagation) ------------------------------------

@@ -196,29 +196,6 @@ def test_traced_is_noop_when_disabled():
     assert fn() == 42  # no sink, no failure
 
 
-# -- collect / replay (the fork transport) ---------------------------------------
-
-
-def test_collect_and_replay_round_trip():
-    sink = ListSink()
-    obs.configure(sink)
-    buffer = obs.begin_collect()
-    with obs.span("in.child"):
-        pass
-    captured = obs.end_collect(buffer)
-    assert [r["name"] for r in captured] == ["in.child"]
-    assert sink.records == []  # redirected away from the original sink
-    obs.configure(sink)
-    obs.replay(captured)
-    assert [r["name"] for r in sink.records] == ["in.child"]
-
-
-def test_collect_disabled_is_none_and_replay_is_noop():
-    assert obs.begin_collect() is None
-    assert obs.end_collect(None) == []
-    obs.replay([{"name": "ghost"}])  # disabled: silently dropped
-
-
 # -- sinks -----------------------------------------------------------------------
 
 

@@ -208,7 +208,7 @@ class TestMapBatches:
             return type(batch)(**columns)
 
         with Engine(EngineConfig(num_partitions=2)) as eng:
-            out = eng.parallelize(batches, num_partitions=2).map_batches(
+            out = eng.parallelize(batches).map_batches(
                 double_sog
             ).collect()
         rows = [r for batch in out for r in batch.to_records()]
@@ -231,7 +231,7 @@ class TestMapBatches:
         with Engine(
             EngineConfig(num_partitions=2, collect_metrics=True)
         ) as eng:
-            ds = eng.parallelize(batches, num_partitions=2).map_batches(
+            ds = eng.parallelize(batches).map_batches(
                 lambda b: b, label="identity"
             )
             ds.collect()

@@ -81,16 +81,6 @@ class TestInventoryContents:
 
 
 class TestEngineVariants:
-    def test_thread_engine_matches_serial(self, small_world, small_result):
-        with Engine(EngineConfig(num_partitions=4, scheduler="threads",
-                                 max_workers=2)) as engine:
-            threaded = build_inventory(
-                small_world.positions, small_world.fleet, small_world.ports,
-                PipelineConfig(), engine=engine,
-            )
-        assert threaded.funnel == small_result.funnel
-        assert len(threaded.inventory) == len(small_result.inventory)
-
     def test_partition_count_does_not_change_result(self, small_world,
                                                     small_result):
         with Engine(EngineConfig(num_partitions=13)) as engine:
@@ -114,8 +104,11 @@ class TestEngineVariants:
                 small_world.positions, small_world.fleet, small_world.ports,
                 PipelineConfig(), engine=engine,
             )
-        assert result.stage_seconds
-        assert "aggregate_summaries" in result.stage_seconds
+        # bench/build_batch.py sums the first two as the shuffle time.
+        assert {
+            "group_by_key", "map_side_combine", "aggregate_kernel",
+            "aggregate_summaries",
+        } <= set(result.stage_seconds)
 
 
 class TestOnDiskBuild:

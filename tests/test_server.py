@@ -172,6 +172,14 @@ class TestProtocol:
             protocol.summary_from_wire(base64.b64encode(raw).decode("ascii"))
         assert excinfo.value.code == protocol.ERR_BAD_FRAME
 
+    @pytest.mark.parametrize("value", [5, ["x"]], ids=["int", "list"])
+    def test_non_string_summary_field_is_a_bad_frame(self, value):
+        """A summary field that is not a base64 string at all is the
+        peer's bad frame too, never a bare AttributeError."""
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.summary_from_wire(value)
+        assert excinfo.value.code == protocol.ERR_BAD_FRAME
+
 
 # -- equivalence against the in-process backend ----------------------------------
 
