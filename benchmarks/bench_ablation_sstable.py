@@ -13,7 +13,12 @@ import time
 
 from benchmarks.conftest import write_report
 from repro.inventory.keys import GroupingSet
-from repro.inventory.sstable import SSTableReader, SSTableWriter, _key_bytes
+from repro.inventory.sstable import (
+    DEFAULT_BLOCK_SIZE,
+    SSTableReader,
+    SSTableWriter,
+    _key_bytes,
+)
 
 
 def test_ablation_sstable_block_size(benchmark, tmp_path_factory,
@@ -51,7 +56,7 @@ def test_ablation_sstable_block_size(benchmark, tmp_path_factory,
         reader.close()
 
     def lookup_default():
-        reader = SSTableReader(directory / "inv-16384.sst")
+        reader = SSTableReader(directory / f"inv-{DEFAULT_BLOCK_SIZE}.sst")
         for key in probe_keys[:10]:
             reader.get(key)
         reader.close()

@@ -18,8 +18,8 @@ to where the summaries live:
   table through an LRU :class:`BlockCache` (hit/miss/eviction counters in
   an :class:`~repro.engine.metrics.CounterSet`), using the table's
   ``.routes`` sidecar so ``route_cells`` needs no full scan, and handing
-  the table's checksum-verified stored value bytes to ``get_encoded``
-  without a decode;
+  ``get_encoded`` the checksum-verified stored value inflated, without a
+  decode;
 - the in-memory :class:`~repro.inventory.store.Inventory` conforms by
   inheriting the mixin.
 
@@ -183,11 +183,32 @@ class InventoryQueryMixin:
         return best
 
 
+class _CachedBlock:
+    """One verified data block, plus the values inflated from it so far.
+
+    A repeated lookup of a key takes its inflated value from here instead
+    of calling zlib again.  That matters beyond the ≈ 3 µs saved: every
+    zlib call releases the GIL, and CPython only forces a GIL handoff to
+    a waiting thread after its holder kept the GIL a whole switch
+    interval (5 ms).  A reader thread that releases it on every lookup
+    never triggers that, so a maintenance thread writing a table beside
+    it could starve.
+    """
+
+    __slots__ = ("data", "inflated")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.inflated: dict[bytes, bytes] = {}
+
+
 class BlockCache:
     """A tiny LRU cache of SSTable data blocks.
 
-    Capacity is counted in blocks (≈ ``block_size`` bytes each), so the
-    memory ceiling is ``capacity × block_size`` regardless of table size.
+    Capacity is counted in blocks (≈ ``block_size`` bytes each, 4 KiB by
+    default), so the memory ceiling is ``capacity × block_size`` plus the
+    values inflated from the cached blocks (at most ≈ 4× the block
+    bytes), regardless of table size.
     Hits, misses and evictions are surfaced through a
     :class:`~repro.engine.metrics.CounterSet` for benchmarks and tests.
 
@@ -215,10 +236,10 @@ class BlockCache:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.counters = counters if counters is not None else CounterSet()
-        self._blocks: OrderedDict[int, bytes] = OrderedDict()
+        self._blocks: OrderedDict[int, _CachedBlock] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, block_index: int) -> bytes | None:
+    def get(self, block_index: int) -> _CachedBlock | None:
         """The cached block, refreshed to most-recently-used, or ``None``."""
         with self._lock:
             block = self._blocks.get(block_index)
@@ -230,7 +251,7 @@ class BlockCache:
         self.counters.increment(self.HITS)
         return block
 
-    def put(self, block_index: int, block: bytes) -> None:
+    def put(self, block_index: int, block: _CachedBlock) -> None:
         """Insert a block, evicting the least recently used at capacity."""
         evictions = 0
         with self._lock:
@@ -361,12 +382,14 @@ class SSTableInventory(InventoryQueryMixin):
         found = self._lookup(key)
         if found is None:
             return None
-        value_raw, block_index = found
-        return sstable._decode_summary(value_raw, self._path, block_index)
+        raw, block_index = found
+        return sstable._decode_summary(raw, self._path, block_index)
 
     def get_encoded(self, key: GroupKey) -> bytes | None:
-        """Point lookup as the stored value bytes, with no codec work: the
-        block checksum was verified when the block was read."""
+        """Point lookup as the summary's encoded bytes
+        (:meth:`CellSummary.encode`): one inflate of the stored value, no
+        codec work (the block checksum was verified when the block was
+        read)."""
         found = self._lookup(key)
         return None if found is None else found[0]
 
@@ -399,28 +422,35 @@ class SSTableInventory(InventoryQueryMixin):
     def _lookup(self, key: GroupKey) -> tuple[bytes, int] | None:
         """The raw point lookup behind :meth:`get` and
         :meth:`get_encoded`: find the block, load it through the cache,
-        scan its entries.  Returns (stored value bytes, block index)."""
+        scan its entries, inflate the value (once per cached block).
+        Returns (encoded summary bytes, block index)."""
         with obs.span(SPAN_GET) as sp:
             key_raw = sstable._key_bytes(key)
             block_index = self._reader.find_block(key_raw)
             if block_index is not None:
                 block = self._load_block(block_index, sp)
-                for entry_key, value_raw in self._reader.parse_entries(block):
-                    if entry_key == key_raw:
-                        sp.set("found", True)
-                        return value_raw, block_index
-                    if entry_key > key_raw:
-                        break
+                raw = block.inflated.get(key_raw)
+                if raw is None:
+                    for entry_key, stored in self._reader.parse_entries(block.data):
+                        if entry_key == key_raw:
+                            raw = sstable._inflate(stored, self._path, block_index)
+                            block.inflated[key_raw] = raw
+                            break
+                        if entry_key > key_raw:
+                            break
+                if raw is not None:
+                    sp.set("found", True)
+                    return raw, block_index
             sp.set("found", False)
             return None
 
     def _load_block(
         self, block_index: int, sp: obs.SpanLike = obs.NOOP_SPAN
-    ) -> bytes:
+    ) -> _CachedBlock:
         block = self.cache.get(block_index)
         if block is None:
             sp.add(BlockCache.MISSES)
-            block = self._reader.read_block(block_index)
+            block = _CachedBlock(self._reader.read_block(block_index))
             self.cache.put(block_index, block)
         else:
             sp.add(BlockCache.HITS)

@@ -40,7 +40,9 @@ from repro.inventory.sstable import (
     SSTableWriter,
     _decode_key,
     _decode_summary,
+    _inflate,
 )
+from repro.inventory.summary import CellSummary
 from repro.obs import registry
 
 SPAN_TIER_COMPACT = registry.register_span(
@@ -51,7 +53,7 @@ SPAN_TIER_COMPACT = registry.register_span(
 #: Same-tier tables that trigger a tier merge (0 disables compaction).
 DEFAULT_TIER_FANOUT = 4
 #: Ceiling of tier 0; tier t spans sizes up to base * fanout**t.
-DEFAULT_TIER_BASE_BYTES = 4 * 1024 * 1024
+DEFAULT_TIER_BASE_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,11 @@ def merge_tables(inputs: list[str | Path], output: str | Path) -> int:
 
     Keys appearing in several inputs have their summaries merged (the
     summary monoid, oldest input first); each input must itself be a
-    valid table.  A key found in only one input is copied as its
-    checksum-verified stored value bytes: the summary roundtrip is
-    byte-exact, so the output is the table a decode/re-encode of every
-    entry would write, and only colliding keys pay for decoding.  The output
+    valid table.  A key found in only one input is copied verbatim as
+    its checksum-verified stored (deflated) value: the summary roundtrip
+    and the deflate are both deterministic, so the output is the table a
+    decode/re-encode of every entry would write, and only colliding keys
+    pay inflate → merge → encode → deflate.  The output
     path must not name any input: the output file is opened for writing
     up front, so compacting a table onto itself would silently destroy it.
     """
@@ -173,17 +176,16 @@ def merge_tables(inputs: list[str | Path], output: str | Path) -> int:
         with SSTableWriter(output) as writer:
             # Equal keys arrive oldest input first (the index tie-break).
             for key_raw, run in groupby(heapq.merge(*streams), key=itemgetter(0)):
-                _, index, value_raw, block_index = next(run)
+                _, index, stored, block_index = next(run)
                 key = _decode_key(key_raw, readers[index].path, block_index)
                 collisions = list(run)
                 if collisions:
-                    summary = _decode_summary(value_raw, readers[index].path, block_index)
-                    for _, index, other_raw, block_index in collisions:
-                        summary.merge(
-                            _decode_summary(other_raw, readers[index].path, block_index)
-                        )
-                    value_raw = summary.encode()
-                writer.add_encoded(key, value_raw)
+                    summary = _merge_item(readers, index, stored, block_index)
+                    for _, index, other, block_index in collisions:
+                        summary.merge(_merge_item(readers, index, other, block_index))
+                    writer.add(key, summary)
+                else:
+                    writer.add_stored(key, stored)
                 entries += 1
         return entries
     finally:
@@ -191,10 +193,18 @@ def merge_tables(inputs: list[str | Path], output: str | Path) -> int:
             reader.close()
 
 
+def _merge_item(
+    readers: list[SSTableReader], index: int, stored: bytes, block_index: int
+) -> CellSummary:
+    """The summary one merge item's stored value holds."""
+    path = readers[index].path
+    return _decode_summary(_inflate(stored, path, block_index), path, block_index)
+
+
 def _stored_entries(
     reader: SSTableReader, index: int
 ) -> Iterator[tuple[bytes, int, bytes, int]]:
     """One input's entries as merge items: raw key, input index, stored
-    value, block index."""
-    for key_raw, value_raw, block_index in reader.scan_raw():
-        yield key_raw, index, value_raw, block_index
+    (deflated) value, block index."""
+    for key_raw, stored, block_index in reader.scan_stored():
+        yield key_raw, index, stored, block_index

@@ -76,7 +76,7 @@ COUNTER_BACKPRESSURE_TIMEOUTS = registry.register_counter(
 #: Sealed-but-unflushed memtables that arm the backpressure valve.
 DEFAULT_MAX_FROZEN_MEMTABLES = 4
 #: Compaction debt (bytes the policy wants rewritten) that arms the valve.
-DEFAULT_MAX_DEBT_BYTES = 256 * 1024 * 1024
+DEFAULT_MAX_DEBT_BYTES = 64 * 1024 * 1024
 #: How long an ingest call may block on the valve before failing typed.
 DEFAULT_BACKPRESSURE_WAIT_S = 5.0
 

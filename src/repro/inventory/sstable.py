@@ -12,22 +12,29 @@ classic SSTable layout:
 
 - **data blocks** hold consecutive ``(key, value)`` entries in key order,
   each entry length-prefixed; blocks close at ~``block_size`` bytes;
+- each **value** is a raw deflate stream of the summary's encoding
+  (:meth:`CellSummary.encode
+  <repro.inventory.summary.CellSummary.encode>`), primed with one frozen
+  preset dictionary (``_VALUE_DICT``, the encoding of an empty summary),
+  so the field names every summary repeats cost a few bytes each;
 - the **index** records each block's first key, file offset, length and
   checksum;
 - the **footer** locates the index and carries entry/block counts, the
   checksum algorithm id, the index checksum and its own checksum.
 
 A point lookup binary-searches the in-memory index (one entry per block),
-reads one block, and scans at most one block's entries — ~10 entries
-for the default 16 KiB blocks, versus millions of raw records.
+reads one block, scans at most one block's entries — ~15 entries for
+the default 4 KiB blocks, versus millions of raw records — and inflates
+the one value it returns.
 
-The format (``POLINV3``, format version 3) is self-verifying: every data
-block, the index and the footer carry a CRC (see
-:mod:`repro.inventory.checksum`), so damage anywhere in a table surfaces
-as a typed :class:`CorruptionError` at block granularity — never a
-silently wrong summary.  A file with any other magic (the unchecksummed
-``POLINV2`` of earlier releases included) is not a table:
-:class:`SSTableError`.
+The format (``POLINV4``, format version 4) is self-verifying: every data
+block, the index and the footer carry a CRC over the stored bytes (see
+:mod:`repro.inventory.checksum`), and a value that does not inflate to
+exactly one complete stream is damage too, so damage anywhere in a table
+surfaces as a typed :class:`CorruptionError` at block granularity —
+never a silently wrong summary.  A file with any other magic is not a
+table: :class:`SSTableError` (a ``POLINV3`` table of the previous
+release, whose values are not deflated, says to rebuild it).
 
 **Writes are crash-safe**: the writer stages the table at
 ``<path>.tmp`` in the same directory, fsyncs, renames into place and
@@ -39,8 +46,10 @@ Keys are :class:`~repro.inventory.keys.GroupKey`, serialised so that the
 raw-byte order agrees exactly with ``GroupKey.sort_key`` (the property
 test in ``tests/test_inventory_backend.py`` pins this; the sparse index's
 binary search silently corrupts lookups if they ever diverge); values are
-the summaries' stored bytes (:meth:`CellSummary.encode
-<repro.inventory.summary.CellSummary.encode>`).
+the summaries' encodings, deflated.  Every read path inflates through
+``_inflate`` (the only inverse of the writer's ``_deflate``), so
+:meth:`SSTableReader.scan_raw` and the serving backend's ``get_encoded``
+still hand out :meth:`CellSummary.encode` bytes.
 
 Next to each table the writer persists a **route-index sidecar**
 (``<table>.routes``): the (origin, destination, vessel type) → cells
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import zlib
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -80,10 +90,55 @@ SPAN_READ_BLOCK = registry.register_span(
 )
 
 #: The table format revision (the build manifest records it).
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-_MAGIC = b"POLINV3\n"
+_MAGIC = b"POLINV4\n"
 _MAGIC_LEN = len(_MAGIC)
+# The previous release's magic: its values are not deflated.
+_V3_MAGIC = b"POLINV3\n"
+
+#: Target size of a data block; a block closes once it reaches this.
+DEFAULT_BLOCK_SIZE = 4 * 1024
+
+# Value deflate settings.  Constants, not options: a table holds no
+# record of them, and every reader must inflate what any writer wrote.
+_DEFLATE_LEVEL = 1
+_DEFLATE_WBITS = -11  # raw stream (no header or trailer), 2 KiB window
+_DEFLATE_MEM_LEVEL = 4
+
+#: The preset dictionary every stored value is deflated against: the
+#: encoding of an empty ``CellSummary()``, whose field names and default
+#: config every summary repeats.  Frozen: tables written so far inflate
+#: only against these exact bytes (a test pins their SHA-256), so
+#: changing them needs a new magic.
+_VALUE_DICT = (
+    b"d\x12s\x06configd\x05s\x03hlli\x14s\x02tdf@Y\x00\x00\x00\x00\x00"
+    b"\x00s\x04topni@s\x03binf@>\x00\x00\x00\x00\x00\x00s\x0bextra_namesl"
+    b"\x00s\x07recordsi\x00s\x05shipsd\x02s\x01pi\x14s\x06sparsel\x00s"
+    b"\x06coursed\x03s\x03cosf\x00\x00\x00\x00\x00\x00\x00\x00s\x03sinf"
+    b"\x00\x00\x00\x00\x00\x00\x00\x00s\x05counti\x00s\x0bcourse_binsd"
+    b"\x02s\x05widthf@>\x00\x00\x00\x00\x00\x00s\x06countsl\x0ci\x00i\x00"
+    b"i\x00i\x00i\x00i\x00i\x00i\x00i\x00i\x00i\x00i\x00s\x07headingd\x03"
+    b"s\x03cosf\x00\x00\x00\x00\x00\x00\x00\x00s\x03sinf\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00s\x05counti\x00s\x0cheading_binsd\x02s\x05widthf@>"
+    b"\x00\x00\x00\x00\x00\x00s\x06countsl\x0ci\x00i\x00i\x00i\x00i\x00i"
+    b"\x00i\x00i\x00i\x00i\x00i\x00i\x00s\x05speedd\x05s\x05counti\x00s"
+    b"\x04meanf\x00\x00\x00\x00\x00\x00\x00\x00s\x02m2f\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00s\x03minNs\x03maxNs\x07speed_qd\x05s\x0bcompression"
+    b"f@Y\x00\x00\x00\x00\x00\x00s\x05meansl\x00s\x07weightsl\x00s\x03min"
+    b"Ns\x03maxNs\x05tripsd\x02s\x01pi\x14s\x06sparsel\x00s\x03etod\x05s"
+    b"\x05counti\x00s\x04meanf\x00\x00\x00\x00\x00\x00\x00\x00s\x02m2f"
+    b"\x00\x00\x00\x00\x00\x00\x00\x00s\x03minNs\x03maxNs\x05eto_qd\x05s"
+    b"\x0bcompressionf@Y\x00\x00\x00\x00\x00\x00s\x05meansl\x00s\x07weigh"
+    b"tsl\x00s\x03minNs\x03maxNs\x03atad\x05s\x05counti\x00s\x04meanf\x00"
+    b"\x00\x00\x00\x00\x00\x00\x00s\x02m2f\x00\x00\x00\x00\x00\x00\x00"
+    b"\x00s\x03minNs\x03maxNs\x05ata_qd\x05s\x0bcompressionf@Y\x00\x00"
+    b"\x00\x00\x00\x00s\x05meansl\x00s\x07weightsl\x00s\x03minNs\x03maxNs"
+    b"\x07originsd\x03s\x08capacityi@s\x05totali\x00s\x05itemsl\x00s\x0cd"
+    b"estinationsd\x03s\x08capacityi@s\x05totali\x00s\x05itemsl\x00s\x0bt"
+    b"ransitionsd\x03s\x08capacityi@s\x05totali\x00s\x05itemsl\x00s\x06ex"
+    b"trasd\x00"
+)
 
 # index offset, entry count, block count, checksum algo, index crc,
 # footer crc, magic.  The footer crc covers every preceding field.
@@ -139,6 +194,47 @@ class CorruptionError(SSTableError):
         super().__init__(detail)
         self.path = None if path is None else Path(path)
         self.block_index = block_index
+
+
+def _deflate(raw: bytes) -> bytes:
+    """One stored value: ``raw`` as a raw deflate stream primed with
+    :data:`_VALUE_DICT`."""
+    compressor = zlib.compressobj(
+        _DEFLATE_LEVEL,
+        zlib.DEFLATED,
+        _DEFLATE_WBITS,
+        _DEFLATE_MEM_LEVEL,
+        zlib.Z_DEFAULT_STRATEGY,
+        _VALUE_DICT,
+    )
+    return compressor.compress(raw) + compressor.flush()
+
+
+def _inflate(
+    stored: bytes, path: Path | None = None, block_index: int | None = None
+) -> bytes:
+    """The encoded summary one stored value holds.  Anything but exactly
+    one complete stream (bad data, a truncated stream, bytes after its
+    end) raises :class:`CorruptionError` naming ``path`` and
+    ``block_index``."""
+    inflater = zlib.decompressobj(_DEFLATE_WBITS, _VALUE_DICT)
+    try:
+        raw = inflater.decompress(stored)
+    except zlib.error as exc:
+        raise CorruptionError(
+            f"undecodable value: {exc}", path=path, block_index=block_index
+        ) from exc
+    if not inflater.eof:
+        raise CorruptionError(
+            "truncated value stream", path=path, block_index=block_index
+        )
+    if inflater.unused_data:
+        raise CorruptionError(
+            f"{len(inflater.unused_data)} bytes after the value stream",
+            path=path,
+            block_index=block_index,
+        )
+    return raw
 
 
 def _key_bytes(key: GroupKey) -> bytes:
@@ -279,7 +375,9 @@ class SSTableWriter:
     ``.routes`` sidecar.
     """
 
-    def __init__(self, path: str | Path, block_size: int = 16 * 1024) -> None:
+    def __init__(
+        self, path: str | Path, block_size: int = DEFAULT_BLOCK_SIZE
+    ) -> None:
         if block_size < 256:
             raise ValueError(f"block size too small: {block_size}")
         self._path = Path(path)
@@ -312,12 +410,12 @@ class SSTableWriter:
 
     def add(self, key: GroupKey, summary: CellSummary) -> None:
         """Append one entry (keys must be strictly increasing)."""
-        self.add_encoded(key, summary.encode())
+        self.add_stored(key, _deflate(summary.encode()))
 
-    def add_encoded(self, key: GroupKey, value_raw: bytes) -> None:
-        """Append one entry whose summary is already encoded
-        (:meth:`CellSummary.encode`) — the bytes are stored as given
-        (keys must be strictly increasing)."""
+    def add_stored(self, key: GroupKey, stored: bytes) -> None:
+        """Append one entry whose value is already in stored (deflated)
+        form, as :meth:`SSTableReader.scan_stored` yields it: the bytes
+        are written as given (keys must be strictly increasing)."""
         key_raw = _key_bytes(key)
         if self._last_key is not None and key_raw <= self._last_key:
             raise ValueError("SSTable entries must be added in increasing key order")
@@ -325,9 +423,7 @@ class SSTableWriter:
         if key.grouping_set is GroupingSet.CELL_OD_TYPE:
             route = (key.origin, key.destination, key.vessel_type)
             self._route_index.setdefault(route, set()).add(key.cell)
-        entry = (
-            struct.pack(">HI", len(key_raw), len(value_raw)) + key_raw + value_raw
-        )
+        entry = struct.pack(">HI", len(key_raw), len(stored)) + key_raw + stored
         if self._block_first_key is None:
             self._block_first_key = key_raw
         self._block.extend(entry)
@@ -459,7 +555,13 @@ class SSTableReader:
         self._handle.seek(0, 2)
         size = self._handle.tell()
         self._handle.seek(0)
-        if self._handle.read(_MAGIC_LEN) != _MAGIC:
+        magic = self._handle.read(_MAGIC_LEN)
+        if magic == _V3_MAGIC:
+            raise SSTableError(
+                f"{self._path} is a format v3 table; this release reads "
+                f"format v{FORMAT_VERSION} only: rebuild it with `repro build`"
+            )
+        if magic != _MAGIC:
             raise SSTableError(f"bad magic in inventory table: {self._path}")
         if size < _MAGIC_LEN + _FOOTER_SIZE:
             raise CorruptionError("truncated footer", path=self._path)
@@ -552,7 +654,8 @@ class SSTableReader:
 
     @staticmethod
     def parse_entries(block: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Yield each (raw key, raw value) entry of one block.
+        """Yield each (raw key, stored value) entry of one block; a
+        stored value is deflated (``_inflate`` reads it).
 
         Malformed framing raises :class:`CorruptionError` (a verified
         block never has it; the check keeps a format bug typed).
@@ -584,27 +687,36 @@ class SSTableReader:
             return None
         block = self.read_block(block_index)
         self.last_read_bytes = len(block)
-        for entry_key, value_raw in self.parse_entries(block):
+        for entry_key, stored in self.parse_entries(block):
             if entry_key == key_raw:
-                return _decode_summary(value_raw, self._path, block_index)
+                raw = _inflate(stored, self._path, block_index)
+                return _decode_summary(raw, self._path, block_index)
             if entry_key > key_raw:
                 return None
         return None
 
-    def scan_raw(self) -> Iterator[tuple[bytes, bytes, int]]:
-        """Yield every (raw key, raw value, block index) in key order,
-        undecoded (blocks are checksum-verified on read)."""
+    def scan_stored(self) -> Iterator[tuple[bytes, bytes, int]]:
+        """Yield every (raw key, stored value, block index) in key order,
+        values as stored (deflated), for copying into another table with
+        :meth:`SSTableWriter.add_stored` (blocks are checksum-verified on
+        read)."""
         for block_index in range(len(self._block_spans)):
             block = self.read_block(block_index)
-            for key_raw, value_raw in self.parse_entries(block):
-                yield key_raw, value_raw, block_index
+            for key_raw, stored in self.parse_entries(block):
+                yield key_raw, stored, block_index
+
+    def scan_raw(self) -> Iterator[tuple[bytes, bytes, int]]:
+        """Yield every (raw key, encoded summary, block index) in key
+        order: values inflated, not decoded."""
+        for key_raw, stored, block_index in self.scan_stored():
+            yield key_raw, _inflate(stored, self._path, block_index), block_index
 
     def scan(self) -> Iterator[tuple[GroupKey, CellSummary]]:
         """Yield every (key, summary) in key order."""
-        for key_raw, value_raw, block_index in self.scan_raw():
+        for key_raw, raw, block_index in self.scan_raw():
             yield (
                 _decode_key(key_raw, self._path, block_index),
-                _decode_summary(value_raw, self._path, block_index),
+                _decode_summary(raw, self._path, block_index),
             )
 
     def close(self) -> None:
@@ -632,9 +744,10 @@ def _decode_key(key_raw: bytes, path: Path, block_index: int) -> GroupKey:
         ) from exc
 
 
-def _decode_summary(value_raw: bytes, path: Path, block_index: int) -> CellSummary:
+def _decode_summary(raw: bytes, path: Path, block_index: int) -> CellSummary:
+    """The summary an inflated value encodes (see :func:`_inflate`)."""
     try:
-        return CellSummary.decode(value_raw)
+        return CellSummary.decode(raw)
     except _PARSE_ERRORS as exc:
         raise CorruptionError(
             f"undecodable summary: {exc}", path=path, block_index=block_index
@@ -696,9 +809,9 @@ def verify_table(path: str | Path) -> TableCheck:
         for block_index in range(len(reader._block_spans)):
             try:
                 block = reader.read_block(block_index)
-                for key_raw, value_raw in reader.parse_entries(block):
+                for key_raw, stored in reader.parse_entries(block):
                     _decode_key(key_raw, path, block_index)
-                    _decode_summary(value_raw, path, block_index)
+                    _decode_summary(_inflate(stored, path, block_index), path, block_index)
                     if last_key is not None and key_raw <= last_key:
                         raise CorruptionError(
                             "keys out of order", path=path, block_index=block_index
@@ -758,22 +871,18 @@ def salvage_table(path: str | Path, output: str | Path) -> SalvageReport:
         lost_total = reader.entry_count
         with SSTableWriter(output) as writer:
             for block_index in range(len(reader._block_spans)):
-                entries: list[tuple[GroupKey, CellSummary]] = []
+                entries: list[tuple[GroupKey, bytes]] = []
                 try:
                     block = reader.read_block(block_index)
-                    for key_raw, value_raw in reader.parse_entries(block):
-                        entries.append(
-                            (
-                                _decode_key(key_raw, path, block_index),
-                                _decode_summary(value_raw, path, block_index),
-                            )
-                        )
+                    for key_raw, stored in reader.parse_entries(block):
+                        _decode_summary(_inflate(stored, path, block_index), path, block_index)
+                        entries.append((_decode_key(key_raw, path, block_index), stored))
                 # repro: allow[REP005] salvage exists to skip unreadable blocks; each skip is recorded in the report
                 except SSTableError:
                     skipped.append(block_index)
                     continue
-                for key, summary in entries:
-                    writer.add(key, summary)
+                for key, stored in entries:
+                    writer.add_stored(key, stored)
                     recovered += 1
     old_routes = read_route_index(path)
     if old_routes:

@@ -93,10 +93,7 @@ class SpaceSaving:
     def top(self, n: int | None = None) -> list[TopItem]:
         """The heaviest items, most frequent first; ties broken by the
         items' repr for determinism."""
-        items = sorted(
-            self._counts,
-            key=lambda v: (-self._counts[v], repr(v)),
-        )
+        items = self._ranked()
         if n is not None:
             items = items[:n]
         return [TopItem(v, self._counts[v], self._errors[v]) for v in items]
@@ -110,10 +107,11 @@ class SpaceSaving:
 
     def to_dict(self) -> dict:
         """JSON-serialisable state; item order is the top() order."""
+        counts, errors = self._counts, self._errors
         return {
             "capacity": self.capacity,
             "total": self.total,
-            "items": [[item.value, item.count, item.error] for item in self.top()],
+            "items": [[value, counts[value], errors[value]] for value in self._ranked()],
         }
 
     @classmethod
@@ -127,6 +125,13 @@ class SpaceSaving:
             sketch._counts[value] = int(count)
             sketch._errors[value] = int(error)
         return sketch
+
+    def _ranked(self) -> list:
+        """Every tracked value in top() order."""
+        counts = self._counts
+        if len(counts) < 2:
+            return list(counts)
+        return sorted(counts, key=lambda v: (-counts[v], repr(v)))
 
     def _min_count(self) -> int:
         return min(self._counts.values()) if self._counts else 0

@@ -12,6 +12,7 @@ merge — making it a natural reduce-side aggregate.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 
 class TDigest:
@@ -173,13 +174,14 @@ class TDigest:
         snapshotting a live memtable) never moves the centroid
         boundaries its later compressions start from.
         """
-        means, weights = (
-            self._compressed() if self._buffer else (self._means, self._weights)
-        )
+        if self._buffer:
+            means, weights = self._compressed()
+        else:
+            means, weights = list(self._means), list(self._weights)
         return {
             "compression": self.compression,
-            "means": list(means),
-            "weights": list(weights),
+            "means": means,
+            "weights": weights,
             "min": None if self.count == 0 else self.min_value,
             "max": None if self.count == 0 else self.max_value,
         }
@@ -211,19 +213,27 @@ class TDigest:
 
     def _compressed(self) -> tuple[list[float], list[float]]:
         """Centroids and buffered points swept into new centroid lists."""
-        points = sorted(
-            list(zip(self._means, self._weights)) + self._buffer,
-            key=lambda pair: pair[0],
-        )
+        points = list(zip(self._means, self._weights)) + self._buffer
+        if len(points) == 1:
+            # One point is its own centroid: nothing to sort or sweep.
+            return [points[0][0]], [points[0][1]]
+        points.sort(key=itemgetter(0))
         total = sum(weight for _, weight in points)
         means: list[float] = []
         weights: list[float] = []
         cur_mean, cur_weight = points[0]
         cumulative = 0.0
+        # _scale_limit inlined: the same arithmetic, once per point.
+        scale = self.compression / (2.0 * math.pi)
+        asin = math.asin
         k_lower = self._scale_limit(0.0)
         for mean, weight in points[1:]:
             q_after = (cumulative + cur_weight + weight) / total
-            if self._scale_limit(q_after) - k_lower <= 1.0:
+            if q_after > 1.0:
+                q_after = 1.0
+            elif q_after < 0.0:
+                q_after = 0.0
+            if scale * asin(2.0 * q_after - 1.0) - k_lower <= 1.0:
                 # Merge into the current centroid.
                 cur_mean += (mean - cur_mean) * weight / (cur_weight + weight)
                 cur_weight += weight

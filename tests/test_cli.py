@@ -170,7 +170,7 @@ def test_fsck_clean_table(inventory_table, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ok" in out
-    assert "format v3" in out
+    assert "format v4" in out
 
 
 def test_fsck_corrupt_table_salvages(inventory_table, tmp_path, capsys):

@@ -16,6 +16,9 @@ The load-bearing properties:
   constructing an in-memory store.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +38,7 @@ from repro.inventory.keys import GroupingSet
 from repro.inventory.sstable import (
     CorruptionError,
     SSTableWriter,
+    _deflate,
     _key_bytes,
     _key_from_bytes,
     read_route_index,
@@ -204,7 +208,7 @@ def test_undecodable_value_is_typed_corruption(tmp_path):
             [(good, _summary().encode()), (bad, b"Z")],
             key=lambda entry: _key_bytes(entry[0]),
         ):
-            writer.add_encoded(key, value)
+            writer.add_stored(key, _deflate(value))
     with SSTableInventory(path, resolution=6) as backend:
         assert backend.get(good).records == 3
         with pytest.raises(CorruptionError) as excinfo:
@@ -288,6 +292,78 @@ def test_cache_evicts_at_capacity(tmp_path):
             backend.get(key)
         assert len(backend.cache) <= 2
         assert backend.cache.evictions > 0
+
+
+def test_cached_block_inflates_each_value_once(tmp_path, monkeypatch):
+    """Repeated lookups of a key in a cached block reuse its inflated
+    value: a reader thread then holds the GIL between lookups instead of
+    releasing it in zlib on every one, which would starve a thread
+    writing a table beside it."""
+    import repro.inventory.sstable as sstable
+
+    path = tmp_path / "inv.sst"
+    keys = sorted(
+        (GroupKey(cell=_cell(10.0 + i, 10.0)) for i in range(3)), key=_key_bytes
+    )
+    with SSTableWriter(path) as writer:
+        for key in keys:
+            writer.add(key, _summary())
+    inflated = []
+    real_inflate = sstable._inflate
+
+    def counting_inflate(stored, path=None, block_index=None):
+        inflated.append(stored)
+        return real_inflate(stored, path, block_index)
+
+    monkeypatch.setattr(sstable, "_inflate", counting_inflate)
+    with SSTableInventory(path, resolution=6) as backend:
+        for _ in range(3):
+            for key in keys:
+                assert backend.get_encoded(key) == _summary().encode()
+                assert backend.get(key).records == 3
+        assert len(inflated) == len(keys)
+        backend.cache.clear()
+        backend.get(keys[0])
+        assert len(inflated) == len(keys) + 1  # the memo leaves with its block
+
+
+def test_concurrent_lookups_share_a_small_cache_exactly(tmp_path):
+    """Threads filling and evicting the same cached blocks' inflated
+    values under a tiny switch interval still answer every lookup with
+    the exact stored encoding."""
+    path = tmp_path / "inv.sst"
+    expected = {
+        GroupKey(cell=_cell(10.0 + i * 0.5, 20.0)): _summary(records=1 + i % 4)
+        for i in range(40)
+    }
+    with SSTableWriter(path, block_size=1024) as writer:
+        for key in sorted(expected, key=_key_bytes):
+            writer.add(key, expected[key])
+    encoded = {key: summary.encode() for key, summary in expected.items()}
+    failures: list[str] = []
+    with SSTableInventory(path, resolution=6, cache_blocks=2) as backend:
+        assert backend.reader.block_count > 4
+
+        def reader(offset: int) -> None:
+            keys = list(encoded)
+            for round_ in range(5):
+                for key in keys[offset:] + keys[:offset]:
+                    if backend.get_encoded(key) != encoded[key]:
+                        failures.append(f"wrong bytes for {key} in round {round_}")
+
+        threads = [threading.Thread(target=reader, args=(i * 7,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive(), "reader thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.cache.evictions > 0
+    assert failures == []
 
 
 def test_cache_rejects_nonpositive_capacity():

@@ -5,7 +5,7 @@ import pytest
 from repro.hexgrid import latlng_to_cell
 from repro.inventory import GroupKey, Inventory, open_inventory, write_inventory
 from repro.inventory.compaction import merge_tables
-from repro.inventory.sstable import CorruptionError, SSTableWriter
+from repro.inventory.sstable import CorruptionError, SSTableWriter, _deflate
 from repro.inventory.summary import CellSummary
 
 
@@ -211,6 +211,27 @@ def test_raw_copy_disjoint_inputs_are_byte_identical(tmp_path, groups):
     _assert_merge_matches_reference(tmp_path, inputs)
 
 
+def test_single_source_entries_are_copied_verbatim(tmp_path, groups, monkeypatch):
+    """A key found in one input keeps its stored (deflated) bytes: no
+    value is deflated again, and a one-input merge is its input, byte
+    for byte, sidecar included."""
+    import repro.inventory.sstable as sstable
+
+    table = _table(tmp_path, "one.sst", groups)
+
+    def no_deflate(raw):
+        raise AssertionError("a single-source entry was deflated again")
+
+    monkeypatch.setattr(sstable, "_deflate", no_deflate)
+    out = tmp_path / "copy.sst"
+    assert merge_tables([table], out) == len(groups)
+    assert out.read_bytes() == table.read_bytes()
+    assert (
+        out.with_name(out.name + ".routes").read_bytes()
+        == table.with_name(table.name + ".routes").read_bytes()
+    )
+
+
 def test_raw_copy_overlapping_inputs_are_byte_identical(tmp_path, groups):
     # Keys in one, two and all three inputs: raw copies beside merges.
     inputs = [
@@ -232,7 +253,7 @@ def test_undecodable_colliding_summary_raises_corruption(tmp_path):
     good = _table(tmp_path, "good.sst", [(key, _summary(3))])
     bad = tmp_path / "bad.sst"
     with SSTableWriter(bad) as writer:
-        writer.add_encoded(key, b"\xee")
+        writer.add_stored(key, _deflate(b"\xee"))
     out = tmp_path / "out.sst"
     with pytest.raises(CorruptionError, match="undecodable summary"):
         merge_tables([good, bad], out)

@@ -479,9 +479,12 @@ class TestLiveBackgroundMaintenance:
         batches.  The lock-order witness watches every lock site of the
         live inventory throughout, close included."""
         total_batches, batch_size = 30, 20
+        # 880 B keeps fresh flushes and their first merges in tier 0 and
+        # moves the grown one-key table to tier 1: the run cascades
+        # between the two tiers and ends with two tables.
         kwargs = dict(
             resolution=RESOLUTION, flush_records=40,
-            tier_fanout=2, tier_base_bytes=4096,
+            tier_fanout=2, tier_base_bytes=880,
         )
         failures: list[BaseException] = []
         done = threading.Event()
@@ -617,9 +620,12 @@ class TestIngestDoesNotWaitOutMaintenance:
         """Memtables that pile up behind a slow job are flushed one table
         each, with the cascade after each: the final tables are the
         inline run's, byte for byte."""
+        # 880 B keeps fresh flushes and their first merges in tier 0 and
+        # moves the grown one-key table to tier 1: the run cascades
+        # between the two tiers.
         kwargs = dict(
             resolution=RESOLUTION, flush_records=40,
-            tier_fanout=2, tier_base_bytes=4096,
+            tier_fanout=2, tier_base_bytes=880,
         )
         batches = _batches(30, 20)
         started, release = hold_table_write(1)

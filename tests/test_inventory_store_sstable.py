@@ -1,6 +1,9 @@
 """Tests for the Inventory store and the on-disk SSTable."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hexgrid import cell_to_latlng, latlng_to_cell
 from repro.inventory import (
@@ -12,7 +15,17 @@ from repro.inventory import (
     open_inventory,
     write_inventory,
 )
+from repro.inventory.backend import SSTableInventory
 from repro.inventory.codec import encode
+from repro.inventory.sstable import (
+    _VALUE_DICT,
+    CorruptionError,
+    SSTableError,
+    _deflate,
+    _inflate,
+    salvage_table,
+    verify_table,
+)
 from repro.inventory.summary import CellSummary
 
 
@@ -172,20 +185,23 @@ class TestSSTable:
         assert keys == sorted(keys)
 
     def test_encoded_entries_round_trip_as_stored_bytes(self, tmp_path):
-        """``add_encoded`` stores the given bytes and ``scan_raw`` yields
-        them back: a table written that way equals one from ``add``."""
+        """``add_stored`` writes the given bytes, ``scan_stored`` yields
+        them back and ``scan_raw`` their encodings: a table written that
+        way equals one from ``add``."""
         inventory = self._populated(60)
         items = sorted(inventory.items(), key=lambda item: item[0].sort_key())
         encoded = [(key, encode(summary.to_dict())) for key, summary in items]
-        via_add, via_encoded = tmp_path / "add.sst", tmp_path / "encoded.sst"
+        via_add, via_stored = tmp_path / "add.sst", tmp_path / "stored.sst"
         write_inventory(inventory, via_add)
-        with SSTableWriter(via_encoded) as writer:
+        with SSTableWriter(via_stored) as writer:
             for key, value_raw in encoded:
-                writer.add_encoded(key, value_raw)
-        assert via_encoded.read_bytes() == via_add.read_bytes()
-        with open_inventory(via_encoded) as reader:
-            stored = [value_raw for _, value_raw, _ in reader.scan_raw()]
-        assert stored == [value_raw for _, value_raw in encoded]
+                writer.add_stored(key, _deflate(value_raw))
+        assert via_stored.read_bytes() == via_add.read_bytes()
+        with open_inventory(via_stored) as reader:
+            stored = [value for _, value, _ in reader.scan_stored()]
+            raw = [value for _, value, _ in reader.scan_raw()]
+        assert stored == [_deflate(value_raw) for _, value_raw in encoded]
+        assert raw == [value_raw for _, value_raw in encoded]
 
     def test_writer_enforces_key_order(self, tmp_path):
         path = tmp_path / "bad.sst"
@@ -221,3 +237,109 @@ class TestSSTable:
                 stored = reader.get(key)
                 assert stored.records == summary.records
                 assert stored.speed.mean == pytest.approx(summary.speed.mean)
+
+
+class TestStoredValues:
+    """Each value is stored deflated against one frozen dictionary; a
+    value that does not inflate is typed corruption even when its block
+    checksum (computed over the stored bytes) is intact."""
+
+    def test_value_dictionary_is_pinned(self):
+        # Every table ever written inflates against these exact bytes.
+        assert len(_VALUE_DICT) == 857
+        assert hashlib.sha256(_VALUE_DICT).hexdigest() == (
+            "e36c4d2b31770e2f7afc45124ecc9f05e98a123f813b9179d93ff16b3b965ea4"
+        )
+
+    @given(st.binary(max_size=4096))
+    def test_inflate_inverts_deflate(self, raw):
+        assert _inflate(_deflate(raw)) == raw
+
+    def test_values_are_stored_deflated(self, tmp_path):
+        path = tmp_path / "inv.sst"
+        key, summary = GroupKey(cell=_cell(10.0, 10.0)), _summary()
+        with SSTableWriter(path) as writer:
+            writer.add(key, summary)
+        with open_inventory(path) as reader:
+            [(_, stored, _)] = reader.scan_stored()
+        assert stored == _deflate(summary.encode())
+        assert len(stored) < len(summary.encode()) / 3
+
+    @staticmethod
+    def _damaged_table(tmp_path, damage):
+        """Five one-entry blocks; the value of block 2 is ``damage``
+        applied to its deflated bytes, written through ``add_stored`` so
+        the block checksum covers the damaged bytes."""
+        path = tmp_path / "damaged.sst"
+        keys = sorted(
+            (GroupKey(cell=_cell(10.0 + i, 10.0)) for i in range(5)),
+            key=lambda key: key.sort_key(),
+        )
+        with SSTableWriter(path, block_size=256) as writer:
+            for i, key in enumerate(keys):
+                stored = _deflate(_summary(records=4 + i).encode())
+                writer.add_stored(key, damage(stored) if i == 2 else stored)
+        with open_inventory(path) as reader:
+            assert reader.block_count == 5
+        return path, keys
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda stored: stored[:-4],
+            lambda stored: stored + b"\x00trailing",
+            lambda stored: b"\xff\xfegarbage" + stored[8:],
+        ],
+        ids=["truncated-stream", "trailing-bytes", "garbage"],
+    )
+    def test_undeflatable_value_is_typed_corruption(self, tmp_path, damage):
+        path, keys = self._damaged_table(tmp_path, damage)
+        bad = keys[2]
+
+        def assert_names_block(excinfo):
+            assert excinfo.value.path == path
+            assert excinfo.value.block_index == 2
+
+        with open_inventory(path) as reader:
+            assert reader.get(keys[1]).records == 5
+            with pytest.raises(CorruptionError) as excinfo:
+                reader.get(bad)
+            assert_names_block(excinfo)
+            with pytest.raises(CorruptionError) as excinfo:
+                list(reader.scan())
+            assert_names_block(excinfo)
+            with pytest.raises(CorruptionError) as excinfo:
+                list(reader.scan_raw())
+            assert_names_block(excinfo)
+        with SSTableInventory(path, resolution=6) as backend:
+            assert backend.get_encoded(keys[3]) == _summary(records=7).encode()
+            with pytest.raises(CorruptionError) as excinfo:
+                backend.get_encoded(bad)
+            assert_names_block(excinfo)
+            with pytest.raises(CorruptionError) as excinfo:
+                backend.get(bad)
+            assert_names_block(excinfo)
+
+        check = verify_table(path)
+        assert not check.ok
+        assert check.bad_blocks == [2]
+        assert check.entries_readable == 4
+        report = salvage_table(path, tmp_path / "salvaged.sst")
+        assert report.blocks_skipped == [2]
+        assert (report.entries_recovered, report.entries_lost) == (4, 1)
+        assert verify_table(tmp_path / "salvaged.sst").ok
+
+    def test_previous_format_says_to_rebuild(self, tmp_path):
+        path = tmp_path / "v3.sst"
+        write_inventory(self._one_entry(), path)
+        data = path.read_bytes().replace(b"POLINV4\n", b"POLINV3\n")
+        path.write_bytes(data)
+        with pytest.raises(SSTableError, match="rebuild"):
+            SSTableReader(path)
+        assert not verify_table(path).ok
+
+    @staticmethod
+    def _one_entry():
+        inventory = Inventory(resolution=6)
+        inventory.put(GroupKey(cell=_cell(1.0, 103.0)), _summary())
+        return inventory

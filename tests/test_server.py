@@ -35,7 +35,7 @@ from repro.hexgrid import cell_to_latlng, latlng_to_cell
 from repro.inventory.codec import CodecError, encode
 from repro.inventory.keys import GroupingSet
 from repro.inventory.live import LiveInventory
-from repro.inventory.sstable import SSTableReader, SSTableWriter, _key_from_bytes
+from repro.inventory.sstable import SSTableReader, SSTableWriter, _deflate, _key_from_bytes
 from repro.inventory.summary import CellSummary
 from repro.server import (
     InventoryClient,
@@ -597,7 +597,7 @@ class TestCorruptionResponses:
             # client's bad request.
             key = GroupKey(cell=latlng_to_cell(10.0, 10.0, 6))
             with SSTableWriter(path) as writer:
-                writer.add_encoded(key, b"Z")
+                writer.add_stored(key, _deflate(b"Z"))
             probe = cell_to_latlng(key.cell)
             query = "top_destinations_at"
         with SSTableInventory(path, resolution=6, cache_blocks=8) as backend:
