@@ -714,7 +714,8 @@ def _cmd_fsck(args) -> int:
             print(line)
         if not check.ok:
             exit_code = 1
-            if args.salvage is not None:
+            # A table of another format is intact: rebuild, not salvage.
+            if args.salvage is not None and not check.needs_rebuild:
                 report = salvage_table(args.inventory, args.salvage)
                 print(
                     f"salvaged {report.entries_recovered:,} entries to "
@@ -738,12 +739,13 @@ def _fsck_wal(directory: Path) -> int:
     A recoverable torn tail (the crash left a partial final entry —
     the next open truncates it and replays the rest) exits 0 with a
     warning; hard corruption (CRC failures with entries after them, or
-    damage in a non-final segment) exits 1.  Orphan staged tables —
-    ``tab-*.sst`` files the manifest does not reference, or ``*.tmp``
-    staging leftovers — exit 3: they are NOT corruption (a crash
-    between the table write and the manifest commit leaves them behind
-    by design, and the WAL still covers every record they hold), but
-    they consume disk until deleted, so fsck names them distinctly.
+    damage in a non-final segment) exits 1, and so does a manifest table
+    of an earlier format (``needs rebuild``, not damage).  Orphan
+    staged tables — ``tab-*.sst`` files the manifest does not reference,
+    or ``*.tmp`` staging leftovers — exit 3: they are NOT corruption
+    (a crash between the table write and the manifest commit leaves them
+    behind by design, and the WAL still covers every record they hold),
+    but they consume disk until deleted, so fsck names them distinctly.
     Corruption dominates orphans in the exit code.
     """
     from repro.inventory.live import manifest_tables
@@ -761,16 +763,21 @@ def _fsck_wal(directory: Path) -> int:
         print(f"{directory}: recoverable torn tail — the next open "
               f"truncates the partial entry and replays the rest")
     manifest = list(manifest_tables(directory))
-    bad_tables = 0
+    bad_tables = stale_tables = 0
     for table in manifest:
         table_check = verify_table(table)
-        status = "ok" if table_check.ok else "CORRUPT"
-        print(f"table {table.name}: {status}")
-        if not table_check.ok:
+        print(f"table {table.name}: {table_check.status}")
+        if table_check.needs_rebuild:
+            stale_tables += 1
+        elif not table_check.ok:
             bad_tables += 1
     if bad_tables:
         print(f"{directory}: {bad_tables} manifest table(s) corrupt — "
               f"salvage with 'repro fsck --inventory <table> --salvage'")
+    if stale_tables:
+        print(f"{directory}: {stale_tables} manifest table(s) of an earlier "
+              f"format — this release cannot read them; rebuild the inventory")
+    if bad_tables or stale_tables:
         return 1
     referenced = {table.name for table in manifest}
     orphans = sorted(

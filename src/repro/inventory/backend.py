@@ -17,7 +17,7 @@ to where the summaries live:
 - :class:`SSTableInventory` — serves queries straight from a persisted
   table through an LRU :class:`BlockCache` (hit/miss/eviction counters in
   an :class:`~repro.engine.metrics.CounterSet`), using the table's
-  ``.routes`` sidecar so ``route_cells`` needs no full scan, and handing
+  route section so ``route_cells`` needs no full scan, and handing
   ``get_encoded`` the checksum-verified stored value inflated, without a
   decode;
 - the in-memory :class:`~repro.inventory.store.Inventory` conforms by
@@ -41,7 +41,7 @@ from typing import Protocol, runtime_checkable
 from repro.engine.metrics import CounterSet
 from repro.hexgrid import get_resolution, latlng_to_cell
 from repro.inventory import sstable
-from repro.inventory.keys import GroupKey, GroupingSet
+from repro.inventory.keys import GroupKey
 from repro.inventory.summary import CellSummary
 from repro.obs import registry
 from repro.obs import trace as obs
@@ -292,10 +292,11 @@ class SSTableInventory(InventoryQueryMixin):
     """A read-only inventory served directly from a persisted table.
 
     Point lookups touch at most one data block, route lookups go through
-    the persisted ``.routes`` sidecar (rebuilt from a one-time scan and
-    re-persisted when missing), and repeated access to hot blocks is
-    absorbed by the LRU :class:`BlockCache`.  Nothing here ever
-    materializes the full store.
+    the table's route section (read on the first ``route_cells``; damage
+    there is a :class:`~repro.inventory.sstable.CorruptionError` from
+    every ``route_cells`` call, never a rescan), and repeated access to
+    hot blocks is absorbed by the LRU :class:`BlockCache`.  Nothing here
+    ever materializes the full store.
     """
 
     def __init__(
@@ -320,7 +321,11 @@ class SSTableInventory(InventoryQueryMixin):
         self._route_index: dict[tuple[str, str, str], set[int]] | None = None
         self._route_lock = threading.Lock()
         if resolution is None:
-            resolution = self._infer_resolution()
+            try:
+                resolution = self._infer_resolution()
+            except BaseException:
+                self._reader.close()  # no one else can: the caller gets no object
+                raise
         self.resolution = resolution
 
     # -- lifecycle -----------------------------------------------------------------
@@ -397,11 +402,11 @@ class SSTableInventory(InventoryQueryMixin):
         self, origin: str, destination: str, vessel_type: str
     ) -> dict[int, CellSummary]:
         """All cells for which the (origin, destination, type) key exists,
-        resolved via the persisted route index + cached point lookups."""
+        resolved via the table's route section + cached point lookups."""
         if self._route_index is None:
             with self._route_lock:
                 if self._route_index is None:
-                    self._load_route_index()
+                    self._route_index = self._reader.read_routes()
         cells = self._route_index.get((origin, destination, vessel_type), set())
         result = {}
         for cell in sorted(cells):
@@ -455,22 +460,6 @@ class SSTableInventory(InventoryQueryMixin):
         else:
             sp.add(BlockCache.HITS)
         return block
-
-    def _load_route_index(self) -> None:
-        index = sstable.read_route_index(self._path)
-        if index is None:
-            # Legacy table without a sidecar: one recovery scan, then
-            # persist so the next open is O(1) again.
-            index = {}
-            for key, _ in self.items():
-                if key.grouping_set is GroupingSet.CELL_OD_TYPE:
-                    route = (key.origin, key.destination, key.vessel_type)
-                    index.setdefault(route, set()).add(key.cell)
-            try:
-                sstable.write_route_index(self._path, index)
-            except OSError:  # read-only media: serve from memory only
-                pass
-        self._route_index = index
 
     def _infer_resolution(self) -> int:
         for key, _ in self.items():

@@ -1,8 +1,8 @@
 """Block checksums for the on-disk inventory format.
 
-Format v4 (``POLINV4``) checksums every data block (over its stored,
-deflated bytes), the sparse index and the footer so a bit flip anywhere
-in a table surfaces as a typed
+Format v5 (``POLINV5``) checksums every data block (over its stored,
+deflated bytes), the route section, the sparse index and the footer so
+a bit flip anywhere in a table surfaces as a typed
 :class:`~repro.inventory.sstable.CorruptionError` instead of a silently
 wrong :class:`~repro.inventory.summary.CellSummary` — the failure class
 ``tests/test_failure_injection.py`` declares worse than a crash.

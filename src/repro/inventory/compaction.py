@@ -8,9 +8,9 @@ over the union.
 
 :func:`merge_tables` streams the inputs through a k-way heap merge in key
 order, merging summaries of equal keys, so peak memory is one entry per
-input table regardless of table sizes.  The output gets its route-index
-sidecar for free (the writer emits it), so a compacted table is
-immediately servable by
+input table regardless of table sizes.  The output gets its route
+section for free (the writer builds it from the keys it writes), so a
+compacted table is immediately servable by
 :class:`~repro.inventory.backend.SSTableInventory`.
 
 :class:`CompactionPolicy` is the size-tiered selector the background

@@ -365,7 +365,6 @@ class LiveInventory(InventoryQueryMixin):
         for path in sorted(self.directory.glob(_TABLE_GLOB)):
             if path.name not in live:
                 fsio.unlink(path)
-                fsio.unlink(sstable.route_index_path(path))
         for path in sorted(self.directory.glob(f"*{fsio.TMP_SUFFIX}")):
             fsio.unlink(path)
         for seq, path in wal.list_segments(self.directory):
@@ -667,7 +666,6 @@ class LiveInventory(InventoryQueryMixin):
             # the pin count drains and ``_release`` closes.
             for stale_name in run:
                 fsio.unlink(self.directory / stale_name)
-                fsio.unlink(sstable.route_index_path(self.directory / stale_name))
             self.counters.increment(COUNTER_COMPACTIONS)
             sp.set("tier", task.tier)
             sp.set("inputs", len(inputs))
@@ -702,7 +700,6 @@ class LiveInventory(InventoryQueryMixin):
             self._release(old)
             for stale_name in old_names:
                 fsio.unlink(self.directory / stale_name)
-                fsio.unlink(sstable.route_index_path(self.directory / stale_name))
             self.counters.increment(COUNTER_COMPACTIONS)
             sp.set("inputs", len(inputs))
 

@@ -8,7 +8,7 @@ classic SSTable layout:
 
 ::
 
-    [header][data block 0][data block 1]…[index][footer]
+    [header][data block 0][data block 1]…[route section][index][footer]
 
 - **data blocks** hold consecutive ``(key, value)`` entries in key order,
   each entry length-prefixed; blocks close at ~``block_size`` bytes;
@@ -17,30 +17,36 @@ classic SSTable layout:
   <repro.inventory.summary.CellSummary.encode>`), primed with one frozen
   preset dictionary (``_VALUE_DICT``, the encoding of an empty summary),
   so the field names every summary repeats cost a few bytes each;
+- the **route section** maps each (origin, destination, vessel type) of
+  the table's ``CELL_OD_TYPE`` keys to the cells that hold it, so
+  ``route_cells`` needs no full table scan; readers load it on first use;
 - the **index** records each block's first key, file offset, length and
   checksum;
-- the **footer** locates the index and carries entry/block counts, the
-  checksum algorithm id, the index checksum and its own checksum.
+- the **footer** locates the route section and the index, and carries
+  entry/block counts, the checksum algorithm id, the route-section and
+  index checksums and its own checksum.
 
 A point lookup binary-searches the in-memory index (one entry per block),
 reads one block, scans at most one block's entries — ~15 entries for
 the default 4 KiB blocks, versus millions of raw records — and inflates
 the one value it returns.
 
-The format (``POLINV4``, format version 4) is self-verifying: every data
-block, the index and the footer carry a CRC over the stored bytes (see
-:mod:`repro.inventory.checksum`), and a value that does not inflate to
-exactly one complete stream is damage too, so damage anywhere in a table
-surfaces as a typed :class:`CorruptionError` at block granularity —
-never a silently wrong summary.  A file with any other magic is not a
-table: :class:`SSTableError` (a ``POLINV3`` table of the previous
-release, whose values are not deflated, says to rebuild it).
+The format (``POLINV5``, format version 5) is self-verifying: every data
+block, the route section, the index and the footer carry a CRC over the
+stored bytes (see :mod:`repro.inventory.checksum`), and a value that
+does not inflate to exactly one complete stream is damage too, so damage
+anywhere in a table surfaces as a typed :class:`CorruptionError` — at
+block granularity for data — never a silently wrong summary or route.
+A ``POLINV<n>`` table of another format version is intact but
+unreadable here: :class:`StaleFormatError` says to rebuild it.  Any
+other magic is not a table: :class:`SSTableError`.
 
 **Writes are crash-safe**: the writer stages the table at
 ``<path>.tmp`` in the same directory, fsyncs, renames into place and
 fsyncs the directory (see :mod:`repro.inventory.fsio`), so a crash at
 any instant leaves either the previous table or the new one at the
-final path — never a truncated hybrid.  Errors unlink the partials.
+final path — never a truncated hybrid.  One file is one table: the
+rename is the only commit point.  Errors unlink the partials.
 
 Keys are :class:`~repro.inventory.keys.GroupKey`, serialised so that the
 raw-byte order agrees exactly with ``GroupKey.sort_key`` (the property
@@ -50,17 +56,11 @@ the summaries' encodings, deflated.  Every read path inflates through
 ``_inflate`` (the only inverse of the writer's ``_deflate``), so
 :meth:`SSTableReader.scan_raw` and the serving backend's ``get_encoded``
 still hand out :meth:`CellSummary.encode` bytes.
-
-Next to each table the writer persists a **route-index sidecar**
-(``<table>.routes``): the (origin, destination, vessel type) → cells
-mapping that lets a disk-backed inventory answer ``route_cells`` without
-a full table scan.  The sidecar is checksummed (``POLRIX2``) and written
-with the same atomic protocol; a damaged sidecar degrades to a rebuild
-scan, never a wrong route.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import threading
 import zlib
@@ -90,12 +90,12 @@ SPAN_READ_BLOCK = registry.register_span(
 )
 
 #: The table format revision (the build manifest records it).
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-_MAGIC = b"POLINV4\n"
+_MAGIC = b"POLINV5\n"
 _MAGIC_LEN = len(_MAGIC)
-# The previous release's magic: its values are not deflated.
-_V3_MAGIC = b"POLINV3\n"
+# The magic of every format version, this one included.
+_ANY_MAGIC = re.compile(rb"POLINV(\d)\n")
 
 #: Target size of a data block; a block closes once it reaches this.
 DEFAULT_BLOCK_SIZE = 4 * 1024
@@ -140,14 +140,14 @@ _VALUE_DICT = (
     b"trasd\x00"
 )
 
-# index offset, entry count, block count, checksum algo, index crc,
-# footer crc, magic.  The footer crc covers every preceding field.
-_FOOTER_FMT = ">QQQBII8s"
+# route-section offset, index offset, entry count, block count, checksum
+# algo, route-section crc, index crc, footer crc, magic.  The route
+# section spans from its offset to the index.  The footer crc covers
+# every preceding field.
+_FOOTER_FIELDS = ">QQQQBII"
+_FOOTER_FMT = _FOOTER_FIELDS + "I8s"
 _FOOTER_SIZE = struct.calcsize(_FOOTER_FMT)
-_FOOTER_CRC_SCOPE = struct.calcsize(">QQQBI")
-
-_ROUTES_MAGIC = b"POLRIX2\n"
-_ROUTES_SUFFIX = ".routes"
+_FOOTER_CRC_SCOPE = struct.calcsize(_FOOTER_FIELDS)
 
 # Order-preserving string framing: NUL terminator, embedded NULs escaped
 # as 0x00 0xFF.  0xFF never occurs in valid UTF-8, so a terminator is
@@ -173,6 +173,19 @@ class SSTableError(ValueError):
     """A structural problem with an inventory table: not a table at all,
     truncated past recognition, or an I/O failure while reading one.
     Subclasses :class:`ValueError` so pre-v3 callers keep working."""
+
+
+class StaleFormatError(SSTableError):
+    """An intact table of another format version (its ``POLINV<n>``
+    magic names it): this release cannot read it, and ``repro build``
+    rebuilds it.  Not damage, so nothing salvages it."""
+
+    def __init__(self, path: Path, version: int) -> None:
+        super().__init__(
+            f"{path} is a format v{version} table; this release reads "
+            f"format v{FORMAT_VERSION} only: rebuild it with `repro build`"
+        )
+        self.version = version
 
 
 class CorruptionError(SSTableError):
@@ -272,91 +285,11 @@ def _key_from_bytes(raw: bytes) -> GroupKey:
 
 
 def route_index_path(path: str | Path) -> Path:
-    """The sidecar path holding a table's persisted route index."""
+    """The pre-v5 sidecar name, ``<table>.routes``.  No table has one
+    since the route index moved inside the table; the name stays only so
+    size accounting that still looks for the file keeps working."""
     path = Path(path)
-    return path.with_name(path.name + _ROUTES_SUFFIX)
-
-
-def _table_tag(table_path: Path) -> bytes:
-    """A 12-byte identity of the table file a sidecar belongs to: file
-    size + footer checksum.  A sidecar whose tag does not match its
-    table — e.g. the table rename was lost to a crash after the sidecar
-    landed — is treated as missing and rebuilt, never trusted."""
-    try:
-        size = table_path.stat().st_size
-        with open(table_path, "rb") as handle:
-            magic = handle.read(_MAGIC_LEN)
-            footer_crc = 0
-            if magic == _MAGIC and size >= _FOOTER_SIZE:
-                handle.seek(size - _MAGIC_LEN - 4)
-                (footer_crc,) = struct.unpack(">I", handle.read(4))
-    except (OSError, struct.error):
-        return b"\x00" * 12
-    return struct.pack(">QI", size, footer_crc)
-
-
-def write_route_index(
-    table_path: str | Path,
-    index: dict[tuple[str, str, str], set[int]],
-    table_tag: bytes | None = None,
-) -> Path:
-    """Durably persist a (origin, destination, type) → cells mapping next
-    to a table (checksummed, written atomically, tagged with the table's
-    identity); returns the sidecar path."""
-    table_path = Path(table_path)
-    if table_tag is None:
-        table_tag = _table_tag(table_path)
-    payload = table_tag + encode(
-        [
-            [origin, destination, vessel_type, sorted(cells)]
-            for (origin, destination, vessel_type), cells in sorted(index.items())
-        ]
-    )
-    crc = _checksum.checksum_fn(_checksum.DEFAULT_ALGO)(payload)
-    sidecar = route_index_path(table_path)
-    fsio.atomic_write_bytes(
-        sidecar,
-        _ROUTES_MAGIC
-        + struct.pack(">BI", _checksum.DEFAULT_ALGO, crc)
-        + payload,
-    )
-    return sidecar
-
-
-def read_route_index(
-    table_path: str | Path,
-) -> dict[tuple[str, str, str], set[int]] | None:
-    """Load a table's route-index sidecar; ``None`` when it is missing,
-    unreadable, fails its checksum or was written for a different
-    incarnation of the table (callers fall back to a scan — a damaged
-    or stale sidecar can cost a rebuild, never a wrong answer)."""
-    table_path = Path(table_path)
-    sidecar = route_index_path(table_path)
-    try:
-        raw = sidecar.read_bytes()
-    except OSError:
-        return None
-    header_len = len(_ROUTES_MAGIC) + struct.calcsize(">BI")
-    if not raw.startswith(_ROUTES_MAGIC) or len(raw) < header_len + 12:
-        return None
-    algo, crc = struct.unpack_from(">BI", raw, len(_ROUTES_MAGIC))
-    tagged = raw[header_len:]
-    try:
-        if _checksum.checksum_fn(algo)(tagged) != crc:
-            return None
-    except ValueError:
-        return None
-    if tagged[:12] != _table_tag(table_path):
-        return None  # sidecar of a table that never (or no longer) exists
-    payload = tagged[12:]
-    try:
-        rows = decode(payload)
-        index: dict[tuple[str, str, str], set[int]] = {}
-        for origin, destination, vessel_type, cells in rows:
-            index[(origin, destination, vessel_type)] = set(cells)
-    except _PARSE_ERRORS:
-        return None
-    return index
+    return path.with_name(path.name + ".routes")
 
 
 class SSTableWriter:
@@ -364,15 +297,14 @@ class SSTableWriter:
 
     Entries must arrive in strictly increasing key order (the writer
     enforces it).  The table is staged at ``<path>.tmp``; :meth:`close`
-    fsyncs it, publishes the route-index sidecar, then renames the
-    table into place and fsyncs the directory — so the final path only
-    ever holds a complete, verified table.  On error (including an
-    exception inside a ``with`` body) the partial staging files are
-    unlinked and the final path is untouched.
+    fsyncs it, renames it into place and fsyncs the directory — so the
+    final path only ever holds a complete, verified table.  On error
+    (including an exception inside a ``with`` body) the partial staging
+    file is unlinked and the final path is untouched.
 
-    Alongside the table the writer accumulates the route index (which
-    cells each CELL_OD_TYPE key touches) and persists it as the
-    ``.routes`` sidecar.
+    Alongside the entries the writer accumulates the route index (which
+    cells each CELL_OD_TYPE key touches) and writes it as the table's
+    route section.
     """
 
     def __init__(
@@ -432,38 +364,39 @@ class SSTableWriter:
             self._flush_block()
 
     def close(self) -> None:
-        """Flush, write index and footer, fsync, publish sidecar and
-        table (in that order: the table rename is the commit point)."""
+        """Flush, write the route section, index and footer, fsync, and
+        publish the table (the rename is the commit point)."""
         if self._closed:
             return
         try:
             self._flush_block()
+            route_offset = self._handle.tell()
+            route_payload = encode(
+                [
+                    [origin, destination, vessel_type, sorted(cells)]
+                    for (origin, destination, vessel_type), cells in sorted(
+                        self._route_index.items()
+                    )
+                ]
+            )
+            self._handle.write(route_payload)
             index_offset = self._handle.tell()
             index_payload = encode([list(entry) for entry in self._index])
             self._handle.write(struct.pack(">I", len(index_payload)))
             self._handle.write(index_payload)
             fields = struct.pack(
-                ">QQQBI",
+                _FOOTER_FIELDS,
+                route_offset,
                 index_offset,
                 self._entries,
                 len(self._index),
                 self._algo,
+                self._crc(route_payload),
                 self._crc(index_payload),
             )
-            footer_crc = self._crc(fields)
-            self._handle.write(fields + struct.pack(">I", footer_crc) + _MAGIC)
-            table_size = self._handle.tell()
+            self._handle.write(fields + struct.pack(">I", self._crc(fields)) + _MAGIC)
             fsio.fsync_file(self._handle)
             self._handle.close()
-            # Sidecar first (tagged with the not-yet-published table's
-            # identity), then the table rename as the commit point: a
-            # crash in between leaves a sidecar whose tag matches no
-            # table, which readers treat as missing.
-            write_route_index(
-                self._path,
-                self._route_index,
-                table_tag=struct.pack(">QI", table_size, footer_crc),
-            )
             fsio.rename(self._temp, self._path)
             fsio.fsync_dir(self._path.parent)
         except BaseException:
@@ -473,7 +406,7 @@ class SSTableWriter:
 
     def abort(self) -> None:
         """Discard the in-flight table: close the handle and unlink the
-        staging files, leaving the final path exactly as it was."""
+        staging file, leaving the final path exactly as it was."""
         if self._closed:
             return
         self._closed = True
@@ -482,7 +415,6 @@ class SSTableWriter:
         except Exception:
             pass
         fsio.unlink(self._temp)
-        fsio.unlink(fsio.temp_path(route_index_path(self._path)))
 
     def __enter__(self) -> "SSTableWriter":
         return self
@@ -496,7 +428,7 @@ class SSTableWriter:
         if exc_type is None:
             self.close()
         else:
-            # The body raised: leave no partial table or orphan sidecar.
+            # The body raised: leave no partial table behind.
             self.abort()
 
     def _flush_block(self) -> None:
@@ -556,26 +488,27 @@ class SSTableReader:
         size = self._handle.tell()
         self._handle.seek(0)
         magic = self._handle.read(_MAGIC_LEN)
-        if magic == _V3_MAGIC:
-            raise SSTableError(
-                f"{self._path} is a format v3 table; this release reads "
-                f"format v{FORMAT_VERSION} only: rebuild it with `repro build`"
-            )
         if magic != _MAGIC:
+            other = _ANY_MAGIC.fullmatch(magic)
+            if other is not None:
+                raise StaleFormatError(self._path, int(other[1]))
             raise SSTableError(f"bad magic in inventory table: {self._path}")
         if size < _MAGIC_LEN + _FOOTER_SIZE:
             raise CorruptionError("truncated footer", path=self._path)
         self._handle.seek(size - _FOOTER_SIZE)
         footer = self._handle.read(_FOOTER_SIZE)
         (
+            route_offset,
             index_offset,
             self.entry_count,
             self.block_count,
             self.checksum_algo,
+            self._route_crc,
             index_crc,
             footer_crc,
             magic,
         ) = struct.unpack(_FOOTER_FMT, footer)
+        self._route_span = (route_offset, index_offset - route_offset)
         if magic != _MAGIC:
             raise SSTableError(
                 f"bad footer magic in inventory table: {self._path}"
@@ -679,6 +612,35 @@ class SSTableReader:
             position += value_len
             yield key_raw, value_raw
 
+    def read_routes(self) -> dict[tuple[str, str, str], set[int]]:
+        """The route section: (origin, destination, vessel type) → the
+        cells of the table's ``CELL_OD_TYPE`` keys on that route.  Read
+        and verified on every call (serving backends keep the result);
+        damage raises :class:`CorruptionError`."""
+        offset, length = self._route_span
+        try:
+            with self._read_lock:
+                self._handle.seek(offset)
+                payload = self._handle.read(length)
+                self.total_read_bytes += length
+        except OSError as exc:
+            raise SSTableError(
+                f"I/O error reading the route section of {self._path}: {exc}"
+            ) from exc
+        if len(payload) != length or self._crc(payload) != self._route_crc:
+            raise CorruptionError(
+                "route section checksum mismatch", path=self._path
+            )
+        try:
+            return {
+                (origin, destination, vessel_type): set(cells)
+                for origin, destination, vessel_type, cells in decode(payload)
+            }
+        except _PARSE_ERRORS as exc:
+            raise CorruptionError(
+                f"undecodable route section: {exc}", path=self._path
+            ) from exc
+
     def get(self, key: GroupKey) -> CellSummary | None:
         """Point lookup: reads (and verifies) one block."""
         key_raw = _key_bytes(key)
@@ -769,21 +731,34 @@ class TableCheck:
     entries_readable: int = 0
     block_count: int = 0
     bad_blocks: list[int] = field(default_factory=list)
-    route_sidecar: str = "missing"  # "ok" | "missing" | "unreadable"
+    route_section: str = "corrupt"  # "ok" | "corrupt"
     errors: list[str] = field(default_factory=list)
+
+    @property
+    def needs_rebuild(self) -> bool:
+        """An intact table of another format version (not damage)."""
+        return self.version is not None and self.version != FORMAT_VERSION
+
+    @property
+    def status(self) -> str:
+        """``ok``, ``needs rebuild (format vN)`` or ``CORRUPT``."""
+        if self.ok:
+            return "ok"
+        if self.needs_rebuild:
+            return f"needs rebuild (format v{self.version})"
+        return "CORRUPT"
 
     def lines(self) -> list[str]:
         """A human-readable report."""
-        status = "ok" if self.ok else "CORRUPT"
-        out = [f"{self.path}: {status}"]
-        if self.version is not None:
+        out = [f"{self.path}: {self.status}"]
+        if self.version == FORMAT_VERSION:
             out.append(f"  format v{self.version} ({self.checksum})")
             out.append(
                 f"  entries {self.entries_readable:,}/{self.entry_count:,} "
                 f"readable, blocks "
                 f"{self.block_count - len(self.bad_blocks)}/{self.block_count} good"
             )
-            out.append(f"  route sidecar: {self.route_sidecar}")
+            out.append(f"  route section: {self.route_section}")
         for error in self.errors:
             out.append(f"  error: {error}")
         return out
@@ -791,13 +766,16 @@ class TableCheck:
 
 def verify_table(path: str | Path) -> TableCheck:
     """Verify a table end to end: footer, index, every block checksum,
-    every entry decode, global key order, entry-count agreement.  Never
-    raises for damage — it is the thing that *reports* damage."""
+    every entry decode, global key order, entry-count agreement, the
+    route section.  Never raises for damage — it is the thing that
+    *reports* damage."""
     path = Path(path)
     check = TableCheck(path=path, ok=False)
     try:
         reader = SSTableReader(path)
     except (SSTableError, OSError) as exc:
+        if isinstance(exc, StaleFormatError):
+            check.version = exc.version
         check.errors.append(str(exc))
         return check
     try:
@@ -826,11 +804,11 @@ def verify_table(path: str | Path) -> TableCheck:
                 f"footer claims {check.entry_count} entries, "
                 f"found {check.entries_readable}"
             )
-        check.route_sidecar = (
-            "ok"
-            if read_route_index(path) is not None
-            else ("unreadable" if route_index_path(path).exists() else "missing")
-        )
+        try:
+            reader.read_routes()
+            check.route_section = "ok"
+        except SSTableError as exc:
+            check.errors.append(str(exc))
         check.ok = (
             not check.bad_blocks
             and not check.errors
@@ -854,9 +832,9 @@ class SalvageReport:
 def salvage_table(path: str | Path, output: str | Path) -> SalvageReport:
     """Copy every readable entry of a damaged table into a fresh table
     at ``output``, skipping blocks that fail their checksum or do
-    not parse.  Routes recorded in the damaged table's sidecar are
-    merged into the salvaged sidecar (stale cells are harmless: route
-    lookups drop cells whose summaries no longer exist).
+    not parse.  The fresh table's route section is the writer's own,
+    built from the recovered keys, so a damaged route section costs
+    nothing.
 
     Requires the footer and index to be intact (they locate the blocks);
     raises :class:`SSTableError`/:class:`CorruptionError` otherwise.
@@ -884,12 +862,6 @@ def salvage_table(path: str | Path, output: str | Path) -> SalvageReport:
                 for key, stored in entries:
                     writer.add_stored(key, stored)
                     recovered += 1
-    old_routes = read_route_index(path)
-    if old_routes:
-        merged = read_route_index(output) or {}
-        for route, cells in old_routes.items():
-            merged.setdefault(route, set()).update(cells)
-        write_route_index(output, merged)
     return SalvageReport(
         output=output,
         entries_recovered=recovered,

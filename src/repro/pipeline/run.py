@@ -42,11 +42,7 @@ from repro.engine.memory import gc_paused
 from repro.inventory import fsio
 from repro.inventory.compaction import merge_tables
 from repro.inventory.keys import GroupKey
-from repro.inventory.sstable import (
-    file_checksum,
-    route_index_path,
-    write_inventory,
-)
+from repro.inventory.sstable import file_checksum, write_inventory
 from repro.inventory.store import Inventory
 from repro.obs import registry
 from repro.obs import trace as obs
@@ -245,11 +241,13 @@ def _build_to_table(
             window_paths.append(path)
         with obs.span(SPAN_COMPACT, tables=len(window_paths)):
             if windows == 1:
-                # Merging one table would rewrite it byte for byte.
-                if published:
-                    fsio.fsync_dir(output.parent)  # all the crash left undone
-                else:
-                    _publish_table(window_paths[0], output)
+                # Merging one table would rewrite it byte for byte:
+                # publish it by rename (the commit point), then fsync the
+                # directory, which is all a run that died between the
+                # two left undone.
+                if not published:
+                    fsio.rename(window_paths[0], output)
+                fsio.fsync_dir(output.parent)
                 entries = manifest.windows[0].entries
             else:
                 entries = merge_tables(window_paths, output)
@@ -258,7 +256,6 @@ def _build_to_table(
         if completed:
             for path in window_paths:
                 path.unlink(missing_ok=True)
-                route_index_path(path).unlink(missing_ok=True)
             build_manifests.delete_manifest(manifest_file)
     funnel["inventory_groups"] = entries
     funnel["inventory_cells"] = len(cells)
@@ -283,20 +280,6 @@ def _published_window(manifest: build_manifests.BuildManifest, output: Path) -> 
         return file_checksum(output) == record.table_crc
     except OSError:
         return False
-
-
-def _publish_table(staged: Path, output: Path) -> None:
-    """Move a finished table and its route sidecar onto ``output`` in
-    :meth:`~repro.inventory.sstable.SSTableWriter.close`'s commit order:
-    sidecar, table rename (the commit point), directory fsync.  The
-    sidecar's tag names the table's size and footer checksum, not its
-    path, so it stays valid across the rename.  A staged sidecar already
-    gone was moved by a run that died before its table rename."""
-    sidecar = route_index_path(staged)
-    if sidecar.exists():
-        fsio.rename(sidecar, route_index_path(output))
-    fsio.rename(staged, output)
-    fsio.fsync_dir(output.parent)
 
 
 def _build_window(
@@ -326,6 +309,28 @@ def _build_window(
     )
     funnel: dict[str, int] = {"raw": len(positions)}
 
+    # The stages' named functions: a stage is labelled by its function's
+    # name (``map(enrich)``, ``flat_map(trips)``) in the Fig. 3 profile.
+    def feasible(reports):
+        return cleaning.feasibility_filter(reports, config.max_transition_speed_kn)
+
+    def enrich(track):
+        return vectorized.enrich_track_batch(
+            track[0],
+            track[1],
+            static_by_mmsi,
+            min_grt=config.min_grt,
+            commercial_only=config.commercial_only,
+        )
+
+    def commercial(batch):
+        return batch is not None  # enrich drops what the fleet filter drops
+
+    def trips(batch):
+        return vectorized.annotate_trips_batch(
+            batch, port_index, stop_speed_kn=config.stop_speed_kn
+        )
+
     with obs.span(SPAN_CLEAN, rows_in=len(positions)) as clean_span:
         raw = engine.parallelize(positions)
         valid = raw.filter(cleaning.validate).persist()
@@ -335,11 +340,7 @@ def _build_window(
             valid.map(cleaning.key_by_mmsi)
             .group_by_key()
             .map_values(cleaning.sort_and_dedupe)
-            .map_values(
-                lambda reports: cleaning.feasibility_filter(
-                    reports, config.max_transition_speed_kn
-                )
-            )
+            .map_values(feasible)
             .persist()
         )
         funnel["feasible"] = sum(
@@ -348,28 +349,12 @@ def _build_window(
         clean_span.set("rows_out", funnel["feasible"])
 
     with obs.span(SPAN_ENRICH, rows_in=funnel["feasible"]) as enrich_span:
-        enriched = (
-            tracks.map(
-                lambda kv: vectorized.enrich_track_batch(
-                    kv[0],
-                    kv[1],
-                    static_by_mmsi,
-                    min_grt=config.min_grt,
-                    commercial_only=config.commercial_only,
-                )
-            )
-            .filter(lambda batch: batch is not None)
-            .persist()
-        )
+        enriched = tracks.map(enrich).filter(commercial).persist()
         funnel["commercial"] = sum(len(batch) for batch in enriched.collect())
         enrich_span.set("rows_out", funnel["commercial"])
 
     with obs.span(SPAN_TRIPS, rows_in=funnel["commercial"]) as trips_span:
-        trip_batches = enriched.flat_map(
-            lambda batch: vectorized.annotate_trips_batch(
-                batch, port_index, stop_speed_kn=config.stop_speed_kn
-            )
-        ).persist()
+        trip_batches = enriched.flat_map(trips).persist()
         funnel["with_trip_semantics"] = sum(
             len(trip) for trip in trip_batches.collect()
         )

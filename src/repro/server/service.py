@@ -96,7 +96,7 @@ class InventoryService:
         # read-only table or an in-memory inventory bounds a point read
         # by one block read: a live read waits on the memtable lock that
         # ingest holds and merges across every table, and ``route_cells``
-        # may scan a whole table for a missing sidecar.
+        # reads a block per cell of the route.
         self.inline_types: frozenset[str] = frozenset({"ping"})
         if isinstance(inventory, (SSTableInventory, Inventory)):
             self.inline_types |= POINT_READS

@@ -9,9 +9,8 @@ errors, bit rot, crashes between operations — *deterministically*: a
 
 It works by patching the storage layer's filesystem seam
 (:mod:`repro.inventory.fsio`): every ``open``/``write``/``read``/
-``rename``/``fsync`` the SSTable writer, reader and sidecar writer
-perform is counted, and when a counter hits a planned fault index the
-fault fires:
+``rename``/``fsync`` the SSTable writer and reader perform is counted,
+and when a counter hits a planned fault index the fault fires:
 
 - ``torn``   (write)  — a prefix of the buffer reaches the file, then
   the process "dies" (:class:`SimulatedCrash`); the cut point derives

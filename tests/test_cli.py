@@ -170,7 +170,8 @@ def test_fsck_clean_table(inventory_table, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ok" in out
-    assert "format v4" in out
+    assert "format v5" in out
+    assert "route section: ok" in out
 
 
 def test_fsck_corrupt_table_salvages(inventory_table, tmp_path, capsys):
@@ -189,6 +190,21 @@ def test_fsck_corrupt_table_salvages(inventory_table, tmp_path, capsys):
     assert "salvaged" in out
     # The salvaged table must itself pass fsck.
     assert main(["fsck", "--inventory", str(salvaged)]) == 0
+
+
+def test_fsck_earlier_format_needs_rebuild(inventory_table, tmp_path, capsys):
+    """An intact table of an earlier format is not damage: fsck says to
+    rebuild it, exits non-zero, and does not try to salvage it."""
+    stale = tmp_path / "v4.sst"
+    stale.write_bytes(inventory_table.read_bytes().replace(b"POLINV5\n", b"POLINV4\n"))
+    salvaged = tmp_path / "salvaged.sst"
+    code = main(["fsck", "--inventory", str(stale), "--salvage", str(salvaged)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"{stale}: needs rebuild (format v4)" in out
+    assert "CORRUPT" not in out
+    assert "salvaged" not in out
+    assert not salvaged.exists()
 
 
 def test_build_resume_flag(archive, tmp_path, capsys):
@@ -414,6 +430,15 @@ def test_fsck_wal_corrupt_manifest_table_exits_one(live_dir, capsys):
     out = capsys.readouterr().out
     assert "table tab-00000001.sst: CORRUPT" in out
     assert "salvage" in out
+
+
+def test_fsck_wal_earlier_format_table_needs_rebuild(live_dir, capsys):
+    table = live_dir / "tab-00000001.sst"
+    table.write_bytes(table.read_bytes().replace(b"POLINV5\n", b"POLINV4\n"))
+    assert main(["fsck", "--wal", str(live_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "table tab-00000001.sst: needs rebuild (format v4)" in out
+    assert "CORRUPT" not in out
 
 
 def test_fsck_wal_orphan_staged_table_exits_three(live_dir, capsys):

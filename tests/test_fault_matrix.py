@@ -28,7 +28,6 @@ from repro.inventory import (
     write_inventory,
 )
 from repro.inventory import fsio
-from repro.inventory.sstable import route_index_path
 from repro.inventory.summary import CellSummary
 from repro.testing import Fault, FaultInjector, FaultPlan, SimulatedCrash, record_ops
 
@@ -77,7 +76,7 @@ class TestHarness:
         inventory = _inventory()
         counts = record_ops(lambda: write_inventory(inventory, tmp_path / "t.sst"))
         assert counts["write"] > 0
-        assert counts["rename"] == 2  # sidecar + table
+        assert counts["rename"] == 1  # the table: one file, one commit point
         assert counts["fsync"] > 0
 
     def test_enospc_is_a_real_errno(self, tmp_path):
@@ -191,7 +190,8 @@ class TestReadFaultMatrix:
                 (key.sort_key(), summary.records)
                 for key, summary in reader.scan()
             ]
-        return point, full
+            routes = reader.read_routes()
+        return point, full, routes
 
     def test_every_read_fault_is_typed_or_identical(self, table):
         path, keys = table
@@ -265,10 +265,10 @@ class TestKillAndResume:
 
         ref_out, ref_result = reference
         out = tmp_path / "inv.sst"
-        # Renames per window: sidecar, table, manifest.  Crashing rename
-        # #4 kills the build at window 1's table publish: window 0 is
-        # durable and recorded, window 1 and 2 are not.
-        plan = FaultPlan.single("rename", 4, "crash")
+        # Renames per window: table, manifest.  Crashing rename #2 kills
+        # the build at window 1's table publish: window 0 is durable and
+        # recorded, window 1 and 2 are not.
+        plan = FaultPlan.single("rename", 2, "crash")
         with FaultInjector(plan) as injector:
             with pytest.raises(SimulatedCrash):
                 build_inventory(
@@ -297,9 +297,9 @@ class TestKillAndResume:
         assert out.read_bytes() == ref_out.read_bytes()
         assert result.funnel == ref_result.funnel
         assert result.entries == ref_result.entries
-        # Success cleaned the checkpoint and the staging tables up.
-        assert not manifest_path(out).exists()
-        assert not list(tmp_path.glob("inv.sst.w[0-9]"))
+        # Success cleaned the checkpoint and the staging tables up, and
+        # the table is one file.
+        assert [path.name for path in tmp_path.iterdir()] == ["inv.sst"]
 
     @pytest.fixture(scope="class")
     def one_window(self, world, tmp_path_factory):
@@ -313,13 +313,11 @@ class TestKillAndResume:
         return out, counts
 
     # A one-window build publishes its staged table by rename: the last
-    # two renames are the sidecar and then the table, the last fsync is
-    # the directory's.  (op, position from the end, output files present
-    # after the crash: table, sidecar.)
+    # rename is the table's, the last fsync is the directory's.  (op,
+    # position from the end, whether the output exists after the crash.)
     @pytest.mark.parametrize("op, from_end, left", [
-        ("rename", 2, (False, False)),
-        ("rename", 1, (False, True)),
-        ("fsync", 1, (True, True)),
+        ("rename", 1, False),
+        ("fsync", 1, True),
     ])
     def test_crash_in_one_window_publish_resumes_byte_identical(
         self, world, one_window, tmp_path, op, from_end, left
@@ -337,7 +335,7 @@ class TestKillAndResume:
                     PipelineConfig(), output=out,
                 )
         assert injector.crashed
-        assert (out.exists(), route_index_path(out).exists()) == left
+        assert out.exists() == left
         assert manifest_path(out).exists()
 
         build_inventory(
@@ -345,10 +343,6 @@ class TestKillAndResume:
             PipelineConfig(), output=out, resume=True,
         )
         assert out.read_bytes() == ref_out.read_bytes()
-        assert (
-            route_index_path(out).read_bytes()
-            == route_index_path(ref_out).read_bytes()
-        )
         assert not manifest_path(out).exists()
         assert not list(tmp_path.glob("inv.sst.w*"))
 
@@ -384,10 +378,6 @@ class TestKillAndResume:
         )
         assert window_runs == []
         assert out.read_bytes() == ref_out.read_bytes()
-        assert (
-            route_index_path(out).read_bytes()
-            == route_index_path(ref_out).read_bytes()
-        )
         assert not manifest_path(out).exists()
         assert not list(tmp_path.glob("inv.sst.w*"))
 
@@ -399,7 +389,7 @@ class TestKillAndResume:
 
         ref_out, _ = reference
         out = tmp_path / "inv.sst"
-        plan = FaultPlan.single("rename", 4, "crash")
+        plan = FaultPlan.single("rename", 2, "crash")  # window 1's table
         with FaultInjector(plan):
             with pytest.raises(SimulatedCrash):
                 build_inventory(
@@ -429,7 +419,7 @@ class TestKillAndResume:
 
         ref_out, _ = reference
         out = tmp_path / "inv.sst"
-        plan = FaultPlan.single("rename", 7, "crash")  # kill in window 2
+        plan = FaultPlan.single("rename", 4, "crash")  # window 2's table
         with FaultInjector(plan):
             with pytest.raises(SimulatedCrash):
                 build_inventory(
@@ -472,8 +462,8 @@ class TestKillAndResume:
 
 
 class TestWriterErrorPath:
-    """Satellite regression: a raising ``with SSTableWriter`` body must
-    not leave a partial table or an orphan ``.routes`` sidecar."""
+    """A raising ``with SSTableWriter`` body must not leave a partial
+    table behind."""
 
     def test_body_exception_leaves_no_files(self, tmp_path):
         path = tmp_path / "t.sst"
@@ -487,7 +477,6 @@ class TestWriterErrorPath:
                 raise RuntimeError("boom")
         assert list(tmp_path.iterdir()) == []
         assert not path.exists()
-        assert not route_index_path(path).exists()
 
     def test_close_failure_cleans_staging(self, tmp_path):
         path = tmp_path / "t.sst"

@@ -10,8 +10,9 @@ The load-bearing properties:
   :class:`Inventory` on the same build;
 - a point lookup reads a bounded number of blocks (block-cache miss
   counters), and the LRU evicts at capacity;
-- the route index persists as a sidecar and recovers by scan when the
-  sidecar is missing;
+- the route index is a section inside the table: damage there is a typed
+  error from ``route_cells`` and ``verify_table`` while point lookups
+  still answer;
 - all four use-case apps run against the disk backend without ever
   constructing an in-memory store.
 """
@@ -37,12 +38,13 @@ from repro.inventory import (
 from repro.inventory.keys import GroupingSet
 from repro.inventory.sstable import (
     CorruptionError,
+    SSTableReader,
     SSTableWriter,
     _deflate,
     _key_bytes,
     _key_from_bytes,
-    read_route_index,
-    route_index_path,
+    salvage_table,
+    verify_table,
 )
 from repro.inventory.summary import CellSummary
 
@@ -235,19 +237,38 @@ def test_top_destinations_agree(backends):
             ) == backend.top_destinations_at(lat, lon, vessel_type=vessel_type)
 
 
-def test_route_cells_agree(backends):
+def test_route_cells_agree(backends, tmp_path):
+    """The written table, a merge of two disjoint halves of it and a
+    salvage of a copy whose route section is damaged all answer
+    ``route_cells`` as the in-memory store does: the writer builds the
+    route section from the keys it writes."""
     inventory, backend = backends
-    for route in [
-        ("CNSHA", "NLRTM", "cargo"),
-        ("CNSHA", "NLRTM", "passenger"),
-        ("SGSIN", "USLAX", "tanker"),
-        ("SGSIN", "USLAX", "cargo"),  # absent route
-    ]:
-        mem = inventory.route_cells(*route)
-        disk = backend.route_cells(*route)
-        assert set(mem) == set(disk)
-        for cell in mem:
-            assert mem[cell].records == disk[cell].records
+    halves = [tmp_path / "even.sst", tmp_path / "odd.sst"]
+    items = sorted(inventory.items(), key=lambda item: item[0].sort_key())
+    for path, part in zip(halves, (items[0::2], items[1::2])):
+        half = Inventory(resolution=6)
+        for key, summary in part:
+            half.put(key, summary)
+        write_inventory(half, path)
+    merge_tables(halves, tmp_path / "merged.sst")
+    damaged = tmp_path / "damaged.sst"
+    damaged.write_bytes(backend.path.read_bytes())
+    _flip_route_section_byte(damaged)
+    salvage_table(damaged, tmp_path / "salvaged.sst")
+    tables = [backend.path, tmp_path / "merged.sst", tmp_path / "salvaged.sst"]
+    for path in tables:
+        with open_backend(path) as disk_backend:
+            for route in [
+                ("CNSHA", "NLRTM", "cargo"),
+                ("CNSHA", "NLRTM", "passenger"),
+                ("SGSIN", "USLAX", "tanker"),
+                ("SGSIN", "USLAX", "cargo"),  # absent route
+            ]:
+                mem = inventory.route_cells(*route)
+                disk = disk_backend.route_cells(*route)
+                assert set(mem) == set(disk), (path.name, route)
+                for cell in mem:
+                    assert mem[cell].records == disk[cell].records
 
 
 def test_cells_and_items_agree(backends):
@@ -381,45 +402,40 @@ def test_cache_counters_can_be_shared():
     assert counters.value(BlockCache.MISSES) == 1
 
 
-# -- route-index sidecar -----------------------------------------------------------
+# -- the route section ---------------------------------------------------------------
 
-def test_writer_persists_route_sidecar(backends, tmp_path):
-    inventory, backend = backends
-    sidecar = route_index_path(backend.path)
-    assert sidecar.exists()
-    index = read_route_index(backend.path)
-    assert index is not None
-    mem_routes = {
-        (key.origin, key.destination, key.vessel_type)
-        for key, _ in inventory.items()
-        if key.grouping_set is GroupingSet.CELL_OD_TYPE
-    }
-    assert set(index) == mem_routes
+def _flip_route_section_byte(path):
+    with SSTableReader(path) as reader:
+        offset, length = reader._route_span
+    data = bytearray(path.read_bytes())
+    data[offset + length // 2] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
-def test_route_cells_without_sidecar_rebuilds_and_repersists(tmp_path):
+def test_damaged_route_section_is_typed_corruption(tmp_path):
+    """A flipped byte in the route section fails ``route_cells`` with a
+    typed error on every call (never a rescan), fails ``verify_table``,
+    and leaves point lookups on the same table answering."""
     inventory = _routeful_inventory()
     path = tmp_path / "inv.sst"
     write_inventory(inventory, path)
-    route_index_path(path).unlink()
+    _flip_route_section_byte(path)
     with SSTableInventory(path) as backend:
-        disk = backend.route_cells("CNSHA", "NLRTM", "cargo")
-        assert set(disk) == set(inventory.route_cells("CNSHA", "NLRTM", "cargo"))
-    assert route_index_path(path).exists()  # re-persisted for the next open
-
-
-def test_corrupt_sidecar_falls_back_to_scan(tmp_path):
-    inventory = _routeful_inventory()
-    path = tmp_path / "inv.sst"
-    write_inventory(inventory, path)
-    route_index_path(path).write_bytes(b"garbage not a route index")
-    with SSTableInventory(path) as backend:
-        disk = backend.route_cells("SGSIN", "USLAX", "tanker")
-        assert set(disk) == set(inventory.route_cells("SGSIN", "USLAX", "tanker"))
+        for _ in range(2):
+            with pytest.raises(CorruptionError, match="route section") as excinfo:
+                backend.route_cells("CNSHA", "NLRTM", "cargo")
+            assert excinfo.value.path == path
+        for key, summary in inventory.items():
+            assert backend.get(key).records == summary.records
+    check = verify_table(path)
+    assert not check.ok
+    assert check.route_section == "corrupt"
+    assert check.bad_blocks == []
 
 
 def test_compacted_table_serves_routes(tmp_path):
-    """merge_tables output is immediately servable: sidecar included."""
+    """merge_tables output of overlapping inputs is immediately servable:
+    its route section is built from the merged keys."""
     a = _routeful_inventory(n_cells=10)
     b = _routeful_inventory(n_cells=20)
     path_a, path_b = tmp_path / "a.sst", tmp_path / "b.sst"
@@ -427,7 +443,10 @@ def test_compacted_table_serves_routes(tmp_path):
     write_inventory(b, path_b)
     out = tmp_path / "merged.sst"
     merge_tables([path_a, path_b], out)
-    assert route_index_path(out).exists()
+    # One file per table: no route sidecar beside a written or merged one.
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "a.sst", "b.sst", "merged.sst",
+    ]
     merged = Inventory(resolution=6).merge(a).merge(b)
     with open_backend(out) as backend:
         for route in [("CNSHA", "NLRTM", "cargo"), ("SGSIN", "USLAX", "tanker")]:

@@ -196,11 +196,7 @@ def _table(tmp_path, name, items):
 def _assert_merge_matches_reference(tmp_path, inputs):
     out, ref = tmp_path / "merged.sst", tmp_path / "reference.sst"
     assert merge_tables(inputs, out) == _reference_merge(inputs, ref)
-    assert out.read_bytes() == ref.read_bytes()
-    assert (
-        out.with_name(out.name + ".routes").read_bytes()
-        == ref.with_name(ref.name + ".routes").read_bytes()
-    )
+    assert out.read_bytes() == ref.read_bytes()  # route section included
 
 
 def test_raw_copy_disjoint_inputs_are_byte_identical(tmp_path, groups):
@@ -214,7 +210,7 @@ def test_raw_copy_disjoint_inputs_are_byte_identical(tmp_path, groups):
 def test_single_source_entries_are_copied_verbatim(tmp_path, groups, monkeypatch):
     """A key found in one input keeps its stored (deflated) bytes: no
     value is deflated again, and a one-input merge is its input, byte
-    for byte, sidecar included."""
+    for byte, route section included."""
     import repro.inventory.sstable as sstable
 
     table = _table(tmp_path, "one.sst", groups)
@@ -226,10 +222,6 @@ def test_single_source_entries_are_copied_verbatim(tmp_path, groups, monkeypatch
     out = tmp_path / "copy.sst"
     assert merge_tables([table], out) == len(groups)
     assert out.read_bytes() == table.read_bytes()
-    assert (
-        out.with_name(out.name + ".routes").read_bytes()
-        == table.with_name(table.name + ".routes").read_bytes()
-    )
 
 
 def test_raw_copy_overlapping_inputs_are_byte_identical(tmp_path, groups):

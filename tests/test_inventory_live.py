@@ -230,8 +230,9 @@ class TestCompaction:
             assert stats["tables"] == 1
             assert stats["compactions"] == 1
             assert _answers(inv) == before
-            # The stale generations are gone from disk.
-            tables = sorted(p.name for p in inv.directory.glob("tab-*.sst"))
+            # The stale generations are gone from disk, and no table
+            # has a second file.
+            tables = sorted(p.name for p in inv.directory.glob("tab-*"))
             assert tables == ["tab-00000004.sst"]
 
     def test_auto_compaction_at_threshold(self, tmp_path):

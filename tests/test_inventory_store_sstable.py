@@ -330,13 +330,15 @@ class TestStoredValues:
         assert verify_table(tmp_path / "salvaged.sst").ok
 
     def test_previous_format_says_to_rebuild(self, tmp_path):
-        path = tmp_path / "v3.sst"
+        path = tmp_path / "v4.sst"
         write_inventory(self._one_entry(), path)
-        data = path.read_bytes().replace(b"POLINV4\n", b"POLINV3\n")
+        data = path.read_bytes().replace(b"POLINV5\n", b"POLINV4\n")
         path.write_bytes(data)
-        with pytest.raises(SSTableError, match="rebuild"):
+        with pytest.raises(SSTableError, match="format v4 .*rebuild"):
             SSTableReader(path)
-        assert not verify_table(path).ok
+        check = verify_table(path)
+        assert not check.ok
+        assert check.status == "needs rebuild (format v4)"
 
     @staticmethod
     def _one_entry():

@@ -700,8 +700,9 @@ class TestServedBytes:
             assert len(stored) == 6  # 2 cells x 3 grouping sets
             assert _served(InventoryService(live), list(stored)) == stored
 
-    def test_v3_table_serves_without_decoding(self, small_inventory, tmp_path,
-                                              monkeypatch):
+    def test_table_serves_stored_bytes_without_decoding(
+        self, small_inventory, tmp_path, monkeypatch
+    ):
         path = tmp_path / "inventory.sst"
         write_inventory(small_inventory, path)
         stored = _stored_values(path)
